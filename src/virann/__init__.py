@@ -59,7 +59,6 @@ from .field import (
     mode_field,
     pi_field,
     qei_bound,
-    random_field,
     random_inward_field,
     random_inward_path,
     to_theta,

@@ -431,6 +431,16 @@ class CompositeFieldPath(FieldPath):
             return VectorField({})
         return (2.0 * float(ds)) * sub.field_at(float(s))
 
+    def phase(self, t: float) -> complex:
+        # the time change keeps integral a_0: each half contributes its
+        # factor's phase at the smoothstepped time
+        t = min(max(float(t), 0.0), 1.0)
+        if t <= 0.5:
+            s, _ = _smoothstep(2.0 * t, self.width)
+            return self.first.phase(float(s))
+        s, _ = _smoothstep(2.0 * t - 1.0, self.width)
+        return self.first.phase(1.0) + self.second.phase(float(s))
+
     def max_inward_margin(self, grid: int = 512) -> float:
         # the cone is scale-invariant and 2 sigma' >= 0, so the factor
         # margins bound the composite's

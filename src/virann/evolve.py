@@ -3,9 +3,14 @@
 Two engines solve U' = A(t) U, U(s) = I on [s, t] <= [0, 1]: an adaptive
 Runge-Kutta integration (``ode_exp``) and the product of short-interval
 exponentials with left-endpoint sampling (``piecewise_exp``).  The product
-scheme is the constructive definition; the ODE solve is the workhorse and
-the cross-check.  Also here: the adjoint-reversal identity check, the
-parameter-derivative (Duhamel) formula, and growth-bound reporting.
+scheme is the constructive definition.  ``rep.represent`` does not hand
+the full generator a_0(t) L_0 + B(t) of an annulus to either engine: it
+applies the scaling flow e^{phi L_0} in closed form and calls ``ode_exp``
+only for the non-diagonal part in the interaction picture, and not at
+all when that part vanishes.  Both engines, run on full generators, stay
+the cross-checks of that split.  Also here: the adjoint-reversal identity
+check, the parameter-derivative (Duhamel) formula, and growth-bound
+reporting.
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ class EvolutionResult:
     s: float
     t: float
     stepcount: int
-    errest: float
+    #: the solver's error level; None where the method gives none
+    errest: float | None
     method: str
     meta: dict = field(default_factory=dict)
 
@@ -107,7 +113,7 @@ def piecewise_exp(path: GeneratorPath, s: float, t: float,
     for i in range(n):
         U = expm(d * path(s + i * d)) @ U
     _check_finite(U, "piecewise product")
-    return EvolutionResult(U, s, t, n, np.nan, "piecewise")
+    return EvolutionResult(U, s, t, n, None, "piecewise")
 
 
 def _segments(knots, s: float, t: float) -> list[tuple[float, float]]:

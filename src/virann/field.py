@@ -252,7 +252,8 @@ class FieldPath:
     Knots are strictly increasing with t_0 = 0 and t_K = 1.  ``linear``
     interpolates coefficients between knots; ``constant`` holds the field of
     the knot at or before t.  Subclasses may override ``field_at`` entirely
-    (composite paths built by annulus gluing do).
+    (composite paths built by annulus gluing do); they then override
+    ``phase`` to match.
     """
 
     def __init__(self, knots, fields, interp: str = "linear"):
@@ -279,6 +280,27 @@ class FieldPath:
     @property
     def maxmode(self) -> int:
         return max((f.maxmode for f in self.fields), default=0)
+
+    def phase(self, t: float) -> complex:
+        """phi(t) = integral over [0, t] of the constant-mode coefficient a_0.
+
+        Exact: a_0 is piecewise linear (``linear``) or piecewise constant
+        (``constant``) between knots, so phi is piecewise quadratic or
+        piecewise linear.
+        """
+        t = min(max(float(t), 0.0), 1.0)
+        a0 = [f.coeff(0) for f in self.fields]
+        total = 0j
+        for i, (t0, t1) in enumerate(zip(self.knots, self.knots[1:])):
+            if t <= t0:
+                break
+            dt = min(t, t1) - t0
+            if self.interp == "constant":
+                total += dt * a0[i]
+            else:
+                slope = (a0[i + 1] - a0[i]) / (t1 - t0)
+                total += dt * (a0[i] + 0.5 * slope * dt)
+        return total
 
     def field_at(self, t: float) -> VectorField:
         t = min(max(float(t), 0.0), 1.0)
@@ -317,15 +339,6 @@ class FieldPath:
 
 # ---------------------------------------------------------------------------
 # randomized inputs for the verification suites
-
-
-def random_field(maxmode: int, rng: np.random.Generator,
-                 amplitude: float = 1.0) -> VectorField:
-    coeffs = {}
-    for n in range(-maxmode, maxmode + 1):
-        re, im = rng.standard_normal(2)
-        coeffs[n] = amplitude * complex(re, im)
-    return VectorField(coeffs)
 
 
 def random_inward_field(maxmode: int, rng: np.random.Generator,

@@ -421,7 +421,9 @@ def suite_cocycle(module, tol, rng):
         "time-warped sweep of the same annulus gives the same operator",
         cocycle_invariance_residual(H, module, tol=tol), 1e-7, t0))
 
-    if module.lmax >= 7:
+    # the wiggled end framing extracts to modes up to 6, so the residual
+    # is taken on levels <= N - 12
+    if module.lmax >= 7 and module.protected_dim(12) > 0:
         t0 = time.perf_counter()
         H = _wiggle_homotopy(eps=0.05)
         gap = cocycle_invariance_residual(H, module, tol=tol, maxmode=7,

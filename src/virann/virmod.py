@@ -337,12 +337,6 @@ class ModuleData:
             return 0
         return int(self.level_offsets[top + 1])
 
-    def protected_projector(self, budget: int) -> np.ndarray:
-        p = self.protected_dim(budget)
-        P = np.zeros((self.dim, self.dim))
-        P[:p, :p] = np.eye(p)
-        return P
-
 
 def _to_longdouble(x) -> np.longdouble:
     """Exact-as-possible conversion of a gram scalar to 80-bit precision."""

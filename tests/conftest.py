@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from virann.virmod import ModuleParams, build_module
 
@@ -36,3 +37,20 @@ def mod6():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture(scope="session")
+def a0_integral():
+    """(path, t) -> integral of a_0 over [0, t] by quadrature split at knots.
+
+    a_0 is polynomial between knots, so the quadrature is exact to
+    rounding; 1e-13 is the finest absolute request it meets without
+    roundoff warnings.
+    """
+    def integral(path, t):
+        pts = [k for k in path.knots if 0.0 < k < t] or None
+        return complex(*(quad(lambda x: part(path.field_at(x).coeff(0)), 0.0,
+                              t, points=pts, epsabs=1e-13, epsrel=0.0,
+                              limit=200)[0]
+                         for part in (np.real, np.imag)))
+    return integral

@@ -351,6 +351,20 @@ class TestDagger:
         assert isinstance(E.path.reversed_adjoint(), CompositeFieldPath)
 
 
+class TestCompositePhase:
+    def test_phase_is_the_integral_of_a0(self, rng, a0_integral):
+        first = shallow_inward_path(rng, knots=4)
+        second = FieldPath.constant_path(VectorField({0: np.log(0.6), 1: 0.1}))
+        p = CompositeFieldPath(first, second, width=0.1)
+        for t in (0.03, 0.2, 0.5, 0.52, 0.77, 1.0):
+            assert abs(p.phase(t) - a0_integral(p, t)) < 1e-13
+
+    def test_halves_add(self):
+        E = compose(standard_element(0.7), standard_element(0.8 * np.exp(0.2j)))
+        assert E.path.maxmode == 0
+        assert abs(E.path.phase(1.0) - np.log(0.7 * 0.8 * np.exp(0.2j))) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # homotopies
 

@@ -1,9 +1,12 @@
 """Time-ordered exponentials: product scheme, ODE engine, identities."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from virann.annulus import standard_element
 from virann.errors import ArgumentError
 from virann.evolve import (
     EvolutionResult,
@@ -23,6 +26,7 @@ from virann.field import (
     qei_bound,
     random_inward_path,
 )
+from virann.rep import represent
 from virann.virmod import random_protected_vector
 
 
@@ -134,6 +138,15 @@ def test_result_serialization(mod6):
     assert doc["method"].startswith("ode")
     got = np.array([[complex(re, im) for re, im in row] for row in doc["U"]])
     assert np.abs(got - res.U).max() == 0.0
+
+
+def test_result_dicts_are_strict_json(mod6):
+    gp = GeneratorPath.constant(np.log(0.5) * mod6.lmat(0))
+    closed = represent(standard_element(0.5), mod6).result
+    results = [ode_exp(gp, 0.0, 1.0), piecewise_exp(gp, 0.0, 1.0, 4), closed]
+    for res in results:
+        json.dumps(res.to_dict(), allow_nan=False)
+    assert [r.to_dict()["errest"] for r in results[1:]] == [None, 0.0]
 
 
 # ---------------------------------------------------------------------------

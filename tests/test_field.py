@@ -266,3 +266,12 @@ def test_path_json_round_trip(rng):
     assert q.knots == p.knots
     for t in (0.0, 0.41, 1.0):
         assert q.field_at(t) == p.field_at(t)
+
+
+@pytest.mark.parametrize("interp", ["linear", "constant"])
+def test_phase_is_the_integral_of_a0(rng, interp, a0_integral):
+    p = random_inward_path(2, rng, knots=5, amplitude=0.7)
+    p = FieldPath([0.0, 0.1, 0.45, 0.8, 1.0], p.fields, interp=interp)
+    assert p.phase(0.0) == 0.0
+    for t in (0.05, 0.1, 0.3, 0.45, 0.61, 0.99, 1.0):
+        assert abs(p.phase(t) - a0_integral(p, t)) < 1e-13

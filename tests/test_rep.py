@@ -11,6 +11,7 @@ from virann.annulus import (FramingHomotopy, compose, dagger,
                             element_from_path, identity_element,
                             standard_element)
 from virann.errors import ArgumentError, NotInwardError, TruncationError
+from virann.evolve import GeneratorPath, ode_exp
 from virann.field import FieldPath, VectorField, pi_field, random_inward_path
 from virann.rep import (RepresentedAnnulus, cocycle_invariance_residual,
                         contraction_check, dagger_residual,
@@ -125,6 +126,36 @@ class TestRepresent:
         # scaling operators have weighted norm equal to the plain norm
         assert abs(report[0]["norm"] - 0.5 ** 0.5) < 1e-9
         assert abs(report[2]["norm"] - report[0]["norm"]) < 1e-9
+
+
+class TestInteractionPicture:
+    """U = z e^{phi(1) L_0} V: closed form without oscillating modes."""
+
+    def test_scaling_rotation_and_composite_are_closed_form(self, mod14):
+        w = mod14.weights()
+        q1, q2 = 0.5 * np.exp(0.1j), 0.8
+        cases = [
+            (standard_element(q1), q1 ** w),
+            (FieldPath.constant_path(VectorField({0: 0.3j})),
+             np.exp(0.3j * w)),
+            (compose(standard_element(q2), standard_element(q1)),
+             q2 ** w * q1 ** w),
+        ]
+        for E, want in cases:
+            R = represent(E, mod14)
+            assert np.abs(R.U - np.diag(want)).max() < 1e-13
+            assert R.result.method == "closed-form"
+            assert R.result.meta["nfev"] == 0 and R.result.errest == 0.0
+
+    def test_flowed_element_matches_full_generator_solve(self, mod12):
+        rng = np.random.default_rng(601)
+        E = element_from_path(shallow_inward_path(rng, maxmode=2,
+                                                  depth=0.05), G=256, K=16)
+        R = represent(E, mod12)
+        assert R.result.method == "interaction:ode:RK45"
+        full = ode_exp(GeneratorPath.from_field_path(E.path, mod12), 0.0,
+                       1.0, 1e-12)
+        assert np.abs(R.U - full.U).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,13 @@ class TestRunConfig:
         assert ra["qei-numerical-range"] != rb["qei-numerical-range"]
         assert ra["qei-analytic-spot"] == rb["qei-analytic-spot"]
 
+    def test_cocycle_below_the_wiggle_budget_omits_that_row(self):
+        rep = verify.run_config({"module": {"c": 2, "h": 0.5, "N": 10},
+                                 "suites": ["cocycle"]})
+        assert [r["id"] for r in rep["results"]] == [
+            "cocycle-constant-homotopy", "cocycle-reparametrization"]
+        assert rep["passed"]
+
 
 # ---------------------------------------------------------------------------
 # verify: command line
@@ -198,7 +205,9 @@ class TestVerifyCommand:
         jsonschema.validate(rep, cli.load_schema("report"))
 
     def test_loosened_tol_reports_failures(self, tmp_path, capsys):
-        code = cli.main(["verify", "--N", "6", "--suite", "standard",
+        # scaling annuli are closed form at any tol; the adjoint suite
+        # integrates full generators at the configured tol
+        code = cli.main(["verify", "--N", "6", "--suite", "adjoint",
                          "--tol", "1e-3", "--out", str(tmp_path)])
         assert code == 1
         rep = json.loads((tmp_path / "report.json").read_text())
