@@ -6,11 +6,10 @@ exponentials with left-endpoint sampling (``piecewise_exp``).  The product
 scheme is the constructive definition.  ``rep.represent`` does not hand
 the full generator a_0(t) L_0 + B(t) of an annulus to either engine: it
 applies the scaling flow e^{phi L_0} in closed form and calls ``ode_exp``
-only for the non-diagonal part in the interaction picture, and not at
-all when that part vanishes.  Both engines, run on full generators, stay
-the cross-checks of that split.  Also here: the adjoint-reversal identity
-check, the parameter-derivative (Duhamel) formula, and growth-bound
-reporting.
+only for the non-diagonal part in the interaction picture.  Both
+engines, run on full generators, stay the cross-checks of that split.
+Also here: the adjoint-reversal identity check, the parameter-derivative
+(Duhamel) formula, and growth-bound reporting.
 """
 
 from __future__ import annotations
@@ -171,7 +170,10 @@ def ode_exp(path: GeneratorPath, s: float, t: float,
         return EvolutionResult(ident, s, t, 0, 0.0, f"ode:{method}")
 
     def rhs(x, y):
-        return (path(x) @ y.reshape(d, d)).ravel()
+        A = path(x)
+        if not A.any():  # e.g. the interaction generator of a scaling path
+            return np.zeros_like(y)
+        return (A @ y.reshape(d, d)).ravel()
 
     y, steps, nfev, _ = _sweep(rhs, _segments(path.knots, s, t), ident.ravel(),
                                tol, method, dense=False)

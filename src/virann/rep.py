@@ -8,10 +8,11 @@ the operator factors as z e^{phi(1) L_0} V, where the scaling flow
 e^{phi(1) L_0} is diagonal and exact, and V solves V' = B~(t) V for the
 non-diagonal part conjugated past it,
 B~(t) = sum_{n != 0} a_n(t) e^{n phi(t)} L_n
-(from e^{-phi L_0} L_n e^{phi L_0} = e^{n phi} L_n).  Paths without
-oscillating modes (scaling, rotation, their composites and time warps)
-have B~ = 0, so V = I and nothing is solved; otherwise RK45 integrates
-V only, free of the stiff diagonal.  The other entry points quantify,
+(from e^{-phi L_0} L_n e^{phi L_0} = e^{n phi} L_n).  RK45 integrates
+V only, free of the stiff diagonal.  Paths without oscillating modes
+(scaling, rotation, their composites and time warps) have B~ = 0: the
+solver's error estimate is zero, its steps grow tenfold, and V = I
+exactly after a few dozen evaluations.  The other entry points quantify,
 on protected level blocks, how well the truncated operators satisfy the
 structural laws that hold exactly before truncation:
 
@@ -156,7 +157,9 @@ def _interaction_generator(path: FieldPath,
         return pi_field(VectorField({n: a * np.exp(n * phi)
                                      for n, a in X.coeffs.items() if n != 0}),
                         module)
-    return GeneratorPath(sampler, module.dim, tuple(path.knots))
+    # without modes n != 0, B~ = 0 has no kinks for the solver to restart at
+    knots = tuple(path.knots) if path.maxmode > 0 else (0.0, 1.0)
+    return GeneratorPath(sampler, module.dim, knots)
 
 
 def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
@@ -167,11 +170,11 @@ def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
     Preconditions: the path's modes fit the module's matrix range, and
     the path stays in the inward cone.  The operator is
     z e^{phi(1) L_0} V with phi the exact integral of a_0 (``phase``).
-    The diagonal factor is a row scaling by exp(phi(1) (h + k)).  When no
-    field of the path has a mode n != 0, V = I and no solve runs (method
-    ``closed-form``, errest 0).  Otherwise ``ode_exp`` solves
-    V' = B~(t) V adaptively on knot-aligned segments to the requested
-    tolerance; the stiff diagonal a_0 L_0 never enters the solve.
+    The diagonal factor is a row scaling by exp(phi(1) (h + k)).
+    ``ode_exp`` solves V' = B~(t) V adaptively on knot-aligned segments
+    to the requested tolerance; the stiff diagonal a_0 L_0 never enters
+    the solve.  When no field of the path has a mode n != 0, B~ = 0 and
+    the solve returns V = I exactly.
     """
     path, scalar, element = _as_path(E, z)
     if path.maxmode > module.lmax:
@@ -186,13 +189,9 @@ def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
             margin=margin,
         )
     scaling = np.exp(path.phase(1.0) * module.weights())
-    if path.maxmode > 0:  # some field has a mode n != 0
-        V = ode_exp(_interaction_generator(path, module), 0.0, 1.0, tol)
-        result = replace(V, U=scaling[:, None] * V.U,
-                         method="interaction:" + V.method)
-    else:
-        result = EvolutionResult(np.diag(scaling), 0.0, 1.0, 0, 0.0,
-                                 "closed-form", meta={"nfev": 0})
+    V = ode_exp(_interaction_generator(path, module), 0.0, 1.0, tol)
+    result = replace(V, U=scaling[:, None] * V.U,
+                     method="interaction:" + V.method)
     return RepresentedAnnulus(element=element, path=path, z=scalar,
                               module=module, U=scalar * result.U,
                               result=result, tol=tol)

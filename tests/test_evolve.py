@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from virann.annulus import standard_element
 from virann.errors import ArgumentError
 from virann.evolve import (
+    DEFAULT_ODE_TOL,
     EvolutionResult,
     GeneratorPath,
     adjoint_evolution_check,
@@ -142,11 +143,13 @@ def test_result_serialization(mod6):
 
 def test_result_dicts_are_strict_json(mod6):
     gp = GeneratorPath.constant(np.log(0.5) * mod6.lmat(0))
-    closed = represent(standard_element(0.5), mod6).result
-    results = [ode_exp(gp, 0.0, 1.0), piecewise_exp(gp, 0.0, 1.0, 4), closed]
+    interaction = represent(standard_element(0.5), mod6).result
+    results = [ode_exp(gp, 0.0, 1.0), piecewise_exp(gp, 0.0, 1.0, 4),
+               interaction]
     for res in results:
         json.dumps(res.to_dict(), allow_nan=False)
-    assert [r.to_dict()["errest"] for r in results[1:]] == [None, 0.0]
+    assert [r.to_dict()["errest"] for r in results] == [
+        DEFAULT_ODE_TOL, None, DEFAULT_ODE_TOL]
 
 
 # ---------------------------------------------------------------------------

