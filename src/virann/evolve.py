@@ -3,13 +3,17 @@
 Two engines solve U' = A(t) U, U(s) = I on [s, t] <= [0, 1]: an adaptive
 Runge-Kutta integration (``ode_exp``) and the product of short-interval
 exponentials with left-endpoint sampling (``piecewise_exp``).  The product
-scheme is the constructive definition.  ``rep.represent`` does not hand
-the full generator a_0(t) L_0 + B(t) of an annulus to either engine: it
-applies the scaling flow e^{phi L_0} in closed form and calls ``ode_exp``
-only for the non-diagonal part in the interaction picture.  Both
-engines, run on full generators, stay the cross-checks of that split.
-Also here: the adjoint-reversal identity check, the parameter-derivative
-(Duhamel) formula, and growth-bound reporting.
+scheme is the constructive definition.  ``ode_exp`` only ever applies the
+generator to its state, through ``GeneratorPath.act``: a path of fields
+on a module is applied by the module's real level blocks, L_n mapping
+level k to level k - n, so neither the dense pi(X(t)) nor a dense complex
+d x d product is formed.  ``rep.represent`` does not hand the full
+generator a_0(t) L_0 + B(t) of an annulus to either engine: it applies
+the scaling flow e^{phi L_0} in closed form and calls ``ode_exp`` only
+for the non-diagonal part in the interaction picture.  Both engines, run
+on full generators, stay the cross-checks of that split.  Also here: the
+adjoint-reversal identity check, the parameter-derivative (Duhamel)
+formula, and growth-bound reporting.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, RK23, RK45, OdeSolution
 from scipy.linalg import expm
 
 from .errors import ArgumentError, EvolutionError
-from .field import FieldPath, pi_field
+from .field import FieldPath, VectorField, adjoint_field, pi_field
 from .virmod import ModuleData
 
 DEFAULT_ODE_TOL = 1e-10
@@ -30,11 +34,21 @@ DEFAULT_ODE_TOL = 1e-10
 
 @dataclass
 class GeneratorPath:
-    """t -> dense complex generator matrix A(t) on [0, 1]."""
+    """t -> generator A(t) on [0, 1], applied to a state Y by ``act``.
+
+    From a bare ``sampler`` of dense matrices, ``act`` is A(t) @ Y.  From
+    fields on a module (``from_fields``, ``from_field_path``), A(t) is
+    pi(X(t)), and ``act`` applies it by the module's real level blocks
+    through ``pi_field(X(t), module, Y)``; the dense matrix is formed only
+    where a caller samples A(t) itself.
+    """
 
     sampler: Callable[[float], np.ndarray]
     dim: int
     knots: tuple[float, ...] = (0.0, 1.0)
+    #: t -> X(t) when A(t) = pi(X(t)) on ``module``
+    field_at: Callable[[float], VectorField] | None = None
+    module: ModuleData | None = None
 
     def __call__(self, t: float) -> np.ndarray:
         A = np.asarray(self.sampler(float(t)), dtype=complex)
@@ -44,22 +58,40 @@ class GeneratorPath:
             )
         return A
 
+    def act(self, t: float, Y: np.ndarray) -> np.ndarray:
+        """A(t) @ Y."""
+        if self.field_at is None:
+            return self(t) @ Y
+        return pi_field(self.field_at(float(t)), self.module, Y)
+
     @classmethod
     def constant(cls, A: np.ndarray) -> "GeneratorPath":
         A = np.asarray(A, dtype=complex)
         return cls(sampler=lambda t: A, dim=A.shape[0])
 
     @classmethod
+    def from_fields(cls, field_at: Callable[[float], VectorField],
+                    module: ModuleData,
+                    knots=(0.0, 1.0)) -> "GeneratorPath":
+        return cls(sampler=lambda t: pi_field(field_at(t), module),
+                   dim=module.dim, knots=tuple(knots), field_at=field_at,
+                   module=module)
+
+    @classmethod
     def from_field_path(cls, path: FieldPath, module: ModuleData) -> "GeneratorPath":
-        return cls(
-            sampler=lambda t: pi_field(path.field_at(t), module),
-            dim=module.dim,
-            knots=tuple(path.knots),
-        )
+        return cls.from_fields(path.field_at, module, path.knots)
 
     def reversed_adjoint(self) -> "GeneratorPath":
-        """B(t) = A(1-t)*, the generator of the adjoint-reversed system."""
+        """B(t) = A(1-t)*, the generator of the adjoint-reversed system.
+
+        For fields, pi(X)* = pi(adjoint_field(X)) entry for entry, since
+        L_{-n} = L_n^T is real; so B stays a path of fields.
+        """
         ks = tuple(sorted({0.0, 1.0, *(1.0 - k for k in self.knots)}))
+        if self.field_at is not None:
+            field_at = self.field_at
+            return GeneratorPath.from_fields(
+                lambda t: adjoint_field(field_at(1.0 - t)), self.module, ks)
         return GeneratorPath(
             sampler=lambda t: self(1.0 - t).conj().T, dim=self.dim, knots=ks,
         )
@@ -71,7 +103,8 @@ class EvolutionResult:
     s: float
     t: float
     stepcount: int
-    #: the solver's error level; None where the method gives none
+    #: an estimate of the error of U; None where the method gives none
+    #: (RK45 controls local errors only: see ``meta["tol"]``)
     errest: float | None
     method: str
     meta: dict = field(default_factory=dict)
@@ -83,6 +116,7 @@ class EvolutionResult:
             "t": self.t,
             "stepcount": self.stepcount,
             "errest": self.errest,
+            "tol": self.meta.get("tol"),
             "U": [[[float(z.real), float(z.imag)] for z in row] for row in self.U],
         }
 
@@ -134,21 +168,45 @@ class _PiecewiseDense:
         raise ArgumentError(f"time {x} outside the integrated range")
 
 
+#: the explicit Runge-Kutta methods; an implicit one would form a Jacobian
+#: of the d^2-sized state
+_SOLVERS = {s.__name__: s for s in (RK23, RK45, DOP853)}
+
+
 def _sweep(rhs, segments, y0, tol: float, method: str, dense: bool):
-    """Sequential solve_ivp over segments; returns (y_end, steps, nfev, dense)."""
+    """Sequential adaptive solves over segments.
+
+    Returns (y_end, steps, nfev, dense output or None).  It steps scipy's
+    solver itself and keeps only the current state, where ``solve_ivp``
+    would store every step's; steps, evaluations, the end state and the
+    dense output are those of ``solve_ivp`` with the same options.
+    """
+    solver_cls = _SOLVERS.get(method)
+    if solver_cls is None:
+        raise ArgumentError(f"unknown method {method!r}, use one of "
+                            f"{', '.join(_SOLVERS)}")
     y = y0
     steps = nfev = 0
     pieces = []
     for a, b in segments:
-        sol = solve_ivp(rhs, (a, b), y, method=method, rtol=tol, atol=tol,
-                        dense_output=dense)
-        if not sol.success:
-            raise EvolutionError(f"integration failed on [{a}, {b}]: {sol.message}")
-        y = sol.y[:, -1]
-        steps += sol.t.size - 1
-        nfev += sol.nfev
+        solver = solver_cls(rhs, float(a), y, float(b), rtol=tol, atol=tol)
+        ts, interpolants = [solver.t], []
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise EvolutionError(f"integration failed on [{a}, {b}]: "
+                                     f"{message}")
+            if dense and len(ts) > 1 and ts[-1] == solver.t:
+                continue  # solve_ivp drops a step of zero length
+            ts.append(solver.t)
+            if dense:
+                interpolants.append(solver.dense_output())
+        y = solver.y
+        steps += len(ts) - 1
+        nfev += solver.nfev
         if dense:
-            pieces.append((min(a, b), max(a, b), sol.sol))
+            pieces.append((min(a, b), max(a, b),
+                           OdeSolution(ts, interpolants)))
     return y, steps, nfev, (_PiecewiseDense(pieces) if dense else None)
 
 
@@ -156,9 +214,12 @@ def ode_exp(path: GeneratorPath, s: float, t: float,
             tol: float = DEFAULT_ODE_TOL, method: str = "RK45") -> EvolutionResult:
     """Adaptive Runge-Kutta solve of U' = A(t)U, U(s) = I.
 
-    Integration restarts at the path's knots: interpolated coefficient paths
-    are only piecewise smooth, and stepping across a kink costs the solver
-    two orders of local accuracy.
+    Each evaluation of the right-hand side is one ``path.act``: on a path
+    of fields, the generator is applied by real level blocks.  Integration
+    restarts at the path's knots: interpolated coefficient paths are only
+    piecewise smooth, and stepping across a kink costs the solver two
+    orders of local accuracy.  The result carries ``tol`` in ``meta``;
+    ``errest`` is None, because the solver controls only its local error.
     """
     if t < s:
         raise ArgumentError("need s <= t")
@@ -167,20 +228,18 @@ def ode_exp(path: GeneratorPath, s: float, t: float,
     d = path.dim
     ident = np.eye(d, dtype=complex)
     if t == s:
-        return EvolutionResult(ident, s, t, 0, 0.0, f"ode:{method}")
+        return EvolutionResult(ident, s, t, 0, None, f"ode:{method}",
+                               meta={"nfev": 0, "tol": tol})
 
     def rhs(x, y):
-        A = path(x)
-        if not A.any():  # e.g. the interaction generator of a scaling path
-            return np.zeros_like(y)
-        return (A @ y.reshape(d, d)).ravel()
+        return path.act(x, y.reshape(d, d)).ravel()
 
     y, steps, nfev, _ = _sweep(rhs, _segments(path.knots, s, t), ident.ravel(),
                                tol, method, dense=False)
     U = y.reshape(d, d)
     _check_finite(U, "ode integration")
-    return EvolutionResult(U, s, t, steps, tol, f"ode:{method}",
-                           meta={"nfev": nfev})
+    return EvolutionResult(U, s, t, steps, None, f"ode:{method}",
+                           meta={"nfev": nfev, "tol": tol})
 
 
 def flow_residual(path: GeneratorPath, s: float, r: float, t: float,

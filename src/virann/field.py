@@ -3,7 +3,9 @@
 A field is stored as finitely many complex coefficients a_n of the basis
 fields z^{n+1} d/dz (equivalently -i e^{in theta} d/dtheta).  This basis
 diagonalizes both the Witt bracket and the central cocycle, and the matrix
-action on a truncated module is the plain mode sum over ``lmat``.
+action on a truncated module is the plain mode sum over ``lmat``.  Its
+product with a state is applied by the real level blocks of the L_n
+(``pi_field(X, module, V)``), never forming the dense matrix.
 
 Inward-pointing means Re(sum a_n e^{in theta}) <= 0 on the circle: the flow
 moves boundary curves weakly into the disk.  Such fields admit the
@@ -226,16 +228,43 @@ def qei_bound(X: VectorField, c: float, grid: int = DEFAULT_GRID,
 # matrix action
 
 
-def pi_field(X: VectorField, module: ModuleData) -> np.ndarray:
-    """Dense matrix sum_n a_n lmat(n) on the truncated module."""
+def pi_field(X: VectorField, module: ModuleData,
+             V: np.ndarray | None = None) -> np.ndarray:
+    """pi(X) = sum_n a_n L_n on the truncated module, or its product pi(X) V.
+
+    Without ``V``: the dense matrix sum_n a_n lmat(n).  With ``V`` of shape
+    (dim,) or (dim, m): pi(X) @ V, with pi(X) never formed.  L_n maps
+    level k to level k - n by a real block (``ModuleData.level_blocks``),
+    so each mode n != 0 costs one real matrix product per level, of the
+    block with the real view of V's level-k rows; the result is scaled by
+    the complex a_n and added into the rows of level k - n.  Mode 0
+    scales row k by a_0 (h + k).  The empty field gives exact zeros.
+    """
     if X.maxmode > module.lmax:
         raise TruncationError(
             f"field has modes up to {X.maxmode}, module matrices stop at {module.lmax}"
         )
-    out = np.zeros((module.dim, module.dim), dtype=complex)
+    if V is None:
+        out = np.zeros((module.dim, module.dim), dtype=complex)
+        for n, a in X.coeffs.items():
+            out += a * module.lmat(n)
+        return out
+    V = np.ascontiguousarray(V, dtype=complex)
+    if V.ndim not in (1, 2) or V.shape[0] != module.dim:
+        raise ArgumentError(f"cannot apply a generator on dimension "
+                            f"{module.dim} to shape {V.shape}")
+    cols = V if V.ndim == 2 else V[:, None]
+    real = cols.view(np.float64)  # (dim, 2m): re and im interleaved
+    out = np.zeros(cols.shape, dtype=complex)
     for n, a in X.coeffs.items():
-        out += a * module.lmat(n)
-    return out
+        if n == 0:
+            out += (a * module.weights())[:, None] * cols
+            continue
+        for dst, src, block in module.level_blocks(n):
+            part = (block @ real[src]).view(complex)
+            part *= a
+            out[dst] += part
+    return out.reshape(V.shape)
 
 
 def energy_bound_constant(c: float) -> float:

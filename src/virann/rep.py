@@ -151,15 +151,14 @@ class RepresentedAnnulus:
 def _interaction_generator(path: FieldPath,
                            module: ModuleData) -> GeneratorPath:
     """t -> pi(B~(t)), the oscillating modes twisted by the scaling flow."""
-    def sampler(t: float) -> np.ndarray:
+    def twisted(t: float) -> VectorField:
         phi = path.phase(t)
-        X = path.field_at(t)
-        return pi_field(VectorField({n: a * np.exp(n * phi)
-                                     for n, a in X.coeffs.items() if n != 0}),
-                        module)
+        return VectorField({n: a * np.exp(n * phi)
+                            for n, a in path.field_at(t).coeffs.items()
+                            if n != 0})
     # without modes n != 0, B~ = 0 has no kinks for the solver to restart at
     knots = tuple(path.knots) if path.maxmode > 0 else (0.0, 1.0)
-    return GeneratorPath(sampler, module.dim, knots)
+    return GeneratorPath.from_fields(twisted, module, knots)
 
 
 def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
@@ -172,9 +171,10 @@ def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
     z e^{phi(1) L_0} V with phi the exact integral of a_0 (``phase``).
     The diagonal factor is a row scaling by exp(phi(1) (h + k)).
     ``ode_exp`` solves V' = B~(t) V adaptively on knot-aligned segments
-    to the requested tolerance; the stiff diagonal a_0 L_0 never enters
-    the solve.  When no field of the path has a mode n != 0, B~ = 0 and
-    the solve returns V = I exactly.
+    to the requested tolerance, applying B~(t) to V by the module's real
+    level blocks; the stiff diagonal a_0 L_0 never enters the solve.
+    When no field of the path has a mode n != 0, B~ = 0 and the solve
+    returns V = I exactly.
     """
     path, scalar, element = _as_path(E, z)
     if path.maxmode > module.lmax:

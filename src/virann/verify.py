@@ -4,8 +4,10 @@ Each suite turns one family of identities or bounds into rows
 (id, anchor, residual, bound, pass, seconds) where a row passes iff
 residual <= bound.  Randomized suites draw from a generator seeded by the
 run seed and the suite's registry position, so the numerical content of a
-report is a pure function of (config, seed); the seconds column is the
-only field that varies between repeat runs.
+report is a function of (config, seed) up to roundoff: with a threaded
+BLAS, the order of its reductions may vary between runs, and residuals
+may then differ in their last digits.  The seconds column is the only
+field that varies between repeat runs with one BLAS thread.
 
 Suites degrade gracefully at small cutoffs: rows whose construction needs
 more levels than the module has are omitted rather than faked.  Two heavy
@@ -647,7 +649,10 @@ def run_config(cfg: dict, workers: int | None = None) -> dict:
 
     Suites run concurrently (thread pool, default up to 4 workers); rows
     are aggregated in registry order regardless of completion order, so
-    the report content depends only on (config, seed).
+    the report content depends only on (config, seed), up to roundoff:
+    with a threaded BLAS, rows may differ between runs in their last
+    digits (pin it to one thread, e.g. OPENBLAS_NUM_THREADS=1, for
+    repeatable digits).
     """
     cfg = normalize_config(cfg)
     unknown = [s for s in cfg["suites"] if s not in SUITES]

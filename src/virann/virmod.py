@@ -19,7 +19,8 @@ tests) or floats; the reduction code is generic over both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -287,7 +288,10 @@ class ModuleData:
 
     dims[k] is the surviving dimension at level k after the null quotient;
     ``lmat(n)`` is dense of shape (dim, dim), graded so that its only nonzero
-    blocks map level k to level k - n.
+    blocks map level k to level k - n.  Those blocks are real in the
+    orthonormal basis; ``level_blocks`` hands them out for the products of
+    ``field.pi_field``.  ``lmat_by_n`` is read-only after the build: the
+    blocks are derived from it once and cached.
     """
 
     params: ModuleParams
@@ -298,6 +302,10 @@ class ModuleData:
     lmax: int
     lmat_by_n: dict[int, np.ndarray]
     nulltol: float
+    _blocks: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+    _blocks_lock: threading.Lock = field(default_factory=threading.Lock,
+                                         init=False, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -329,6 +337,32 @@ class ModuleData:
                 f"module built with lmax = {self.lmax}, no matrix for L_{n}"
             )
         return self.lmat_by_n[n]
+
+    def level_blocks(self, n: int) -> tuple[tuple[slice, slice, np.ndarray], ...]:
+        """The real level blocks of L_n: (rows of level k - n, rows of level
+        k, block) for every level k whose block is nonzero.
+
+        Read once from ``lmat(n)`` on first use and cached, so only the
+        modes in use are stored; safe to call from several threads.  The
+        cache assumes ``lmat_by_n`` is read-only after the build.
+        """
+        blocks = self._blocks.get(n)
+        if blocks is not None:
+            return blocks
+        with self._blocks_lock:
+            blocks = self._blocks.get(n)
+            if blocks is None:
+                mat = self.lmat(n)
+                off = self.level_offsets
+                found = []
+                for k in range(max(n, 0), self.N + 1 + min(n, 0)):
+                    dst = slice(off[k - n], off[k - n + 1])
+                    src = slice(off[k], off[k + 1])
+                    block = np.ascontiguousarray(mat[dst, src].real)
+                    if block.any():
+                        found.append((dst, src, block))
+                blocks = self._blocks[n] = tuple(found)
+        return blocks
 
     def protected_dim(self, budget: int) -> int:
         """Dimension of the span of levels <= N - budget."""
@@ -520,14 +554,49 @@ def module_to_dict(module: ModuleData) -> dict:
 
 
 def module_from_dict(data: dict) -> ModuleData:
+    """Inverse of ``module_to_dict``.
+
+    Raises ArgumentError unless every L_n has the graded shape of a
+    module: a (dim, dim) matrix, zero outside the level blocks that map
+    level k to level k - n, and real.  L_0 must be the diagonal h + k.
+    The block products of ``field.pi_field`` read exactly that structure,
+    so a file breaking it would otherwise act as another operator.
+    """
     params = ModuleParams(float(data["c"]), float(data["h"]), int(data["N"]))
     dims = tuple(int(d) for d in data["dims"])
+    if len(dims) != params.N + 1:
+        raise ArgumentError(f"dims lists {len(dims)} levels, N = {params.N} "
+                            f"needs {params.N + 1}")
     lmat = {int(n): _complex_matrix_from_json(m) for n, m in data["lmat"].items()}
     lmax = max((abs(n) for n in lmat), default=0)
-    return ModuleData(
+    module = ModuleData(
         params=params, dims=dims, basis=enumerate_basis(params.N),
         ortho=[], gram=[], lmax=lmax, lmat_by_n=lmat, nulltol=DEFAULT_NULLTOL,
     )
+    _check_graded(module)
+    return module
+
+
+def _check_graded(module: ModuleData) -> None:
+    dim = module.dim
+    level = module.level_index()
+    shift = level[None, :] - level[:, None]  # n of the blocks holding (i, j)
+    for n, m in sorted(module.lmat_by_n.items()):
+        if m.shape != (dim, dim):
+            raise ArgumentError(f"lmat {n} has shape {m.shape}, the dims "
+                                f"give ({dim}, {dim})")
+        if m.imag.any():
+            raise ArgumentError(f"lmat {n} has a nonzero imaginary part")
+        if n == 0:  # the diagonal h + k, to the rounding of a text file
+            w = module.weights()
+            outside = np.abs(m.real - np.diag(w)) > 1e-13 * w.max(initial=1.0)
+        else:
+            outside = np.where(shift == n, 0.0, m.real)
+        if outside.any():
+            raise ArgumentError(
+                f"lmat {n} has nonzero entries outside the level blocks of "
+                f"L_{n}" + (" (L_0 must be the diagonal h + k)" if n == 0 else "")
+            )
 
 
 def _complex_matrix_to_json(m: np.ndarray) -> list:

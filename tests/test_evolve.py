@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from virann.annulus import standard_element
@@ -12,6 +13,8 @@ from virann.evolve import (
     DEFAULT_ODE_TOL,
     EvolutionResult,
     GeneratorPath,
+    _segments,
+    _sweep,
     adjoint_evolution_check,
     flow_residual,
     growth_bound_check,
@@ -92,6 +95,8 @@ def test_ode_zero_path_gives_identity():
     gp = GeneratorPath.constant(np.zeros((4, 4)))
     res = ode_exp(gp, 0.0, 1.0, 1e-10)
     assert np.abs(res.U - np.eye(4)).max() < 1e-12
+    with pytest.raises(ArgumentError, match="unknown method"):
+        ode_exp(gp, 0.0, 1.0, method="BDF")
 
 
 def test_ode_constant_diagonal_closed_form(mod6):
@@ -127,6 +132,45 @@ def test_cross_validation_small_amplitude(mod6, rng):
     assert worst < 1e-7
 
 
+def test_sweep_steps_like_solve_ivp(noncommuting_path):
+    gp, d = noncommuting_path, noncommuting_path.dim
+    y0 = np.eye(d, dtype=complex).ravel()
+
+    def rhs(x, y):
+        return (gp(x) @ y.reshape(d, d)).ravel()
+
+    segs = _segments(gp.knots, 0.0, 1.0)
+    for dense in (False, True):
+        y, steps, nfev, sol = _sweep(rhs, segs, y0, 1e-8, "RK45", dense)
+        want = y0
+        want_steps = want_nfev = 0
+        for a, b in segs:
+            ref = solve_ivp(rhs, (a, b), want, method="RK45", rtol=1e-8,
+                            atol=1e-8, dense_output=dense)
+            want = ref.y[:, -1]
+            want_steps += ref.t.size - 1
+            want_nfev += ref.nfev
+            if dense:
+                for x in np.linspace(a, b, 5)[1:-1]:  # knots pick a side
+                    assert np.array_equal(sol(x), ref.sol(x))
+        assert np.array_equal(y, want)
+        assert (steps, nfev) == (want_steps, want_nfev)
+        assert (sol is None) == (not dense)
+
+
+def test_field_path_acts_like_its_dense_generator(mod12, rng):
+    p = random_inward_path(3, rng, knots=4, amplitude=0.3)
+    gp = GeneratorPath.from_field_path(p, mod12)
+    rev = gp.reversed_adjoint()
+    Y = (rng.standard_normal((mod12.dim, 5))
+         + 1j * rng.standard_normal((mod12.dim, 5)))
+    for t in (0.0, 0.2, 0.5, 0.77, 1.0):
+        for got, A in ((gp.act(t, Y), gp(t)),
+                       (rev.act(t, Y), gp(1.0 - t).conj().T)):
+            want = A @ Y
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_flow_property(noncommuting_path):
     for r in (0.2, 0.37, 0.5, 0.81):
         assert flow_residual(noncommuting_path, 0.0, r, 1.0) < 1e-10
@@ -148,7 +192,8 @@ def test_result_dicts_are_strict_json(mod6):
                interaction]
     for res in results:
         json.dumps(res.to_dict(), allow_nan=False)
-    assert [r.to_dict()["errest"] for r in results] == [
+    assert [r.to_dict()["errest"] for r in results] == [None, None, None]
+    assert [r.to_dict()["tol"] for r in results] == [
         DEFAULT_ODE_TOL, None, DEFAULT_ODE_TOL]
 
 

@@ -198,6 +198,35 @@ def test_pi_mode_overflow(mod6):
         pi_field(mode_field(7), mod6)
 
 
+def _random_field(rng, modes):
+    return VectorField({n: complex(*rng.standard_normal(2)) for n in modes})
+
+
+@pytest.mark.parametrize("cols", [None, 3, 0])
+def test_block_product_matches_dense(mod12, rng, cols):
+    d = mod12.dim
+    # None: a full (d, d) state; 0: a single vector of shape (d,)
+    shape = {None: (d, d), 0: (d,)}.get(cols, (d, cols))
+    for _ in range(3):
+        X = _random_field(rng, range(-mod12.lmax, mod12.lmax + 1))
+        V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = pi_field(X, mod12) @ V
+        got = pi_field(X, mod12, V)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_block_product_of_the_empty_field_is_zero(mod12, rng):
+    V = rng.standard_normal((mod12.dim, 4)) + 0j
+    out = pi_field(zero_field(), mod12, V)
+    assert out.shape == V.shape and not out.any()
+
+
+def test_block_product_mode_overflow(mod6):
+    with pytest.raises(TruncationError):
+        pi_field(mode_field(7), mod6, np.eye(mod6.dim))
+
+
 def test_numerical_range_bound(mod12, rng):
     """Re<pi(X)v, v> <= mu_X for inward X and protected v."""
     for _ in range(60):

@@ -13,11 +13,11 @@ from virann.annulus import (FramingHomotopy, compose, dagger,
 from virann.errors import ArgumentError, NotInwardError, TruncationError
 from virann.evolve import GeneratorPath, ode_exp
 from virann.field import FieldPath, VectorField, pi_field, random_inward_path
-from virann.rep import (RepresentedAnnulus, cocycle_invariance_residual,
-                        contraction_check, dagger_residual,
-                        holomorphy_residual, lowering_norms, mobius_overlap,
-                        represent, segal_residual, semigroup_residual,
-                        transport_field)
+from virann.rep import (RepresentedAnnulus, _interaction_generator,
+                        cocycle_invariance_residual, contraction_check,
+                        dagger_residual, holomorphy_residual,
+                        lowering_norms, mobius_overlap, represent,
+                        segal_residual, semigroup_residual, transport_field)
 from virann.virmod import ModuleParams, VirasoroOracle, build_module
 
 G = 128
@@ -155,6 +155,17 @@ class TestInteractionPicture:
         full = ode_exp(GeneratorPath.from_field_path(E.path, mod12), 0.0,
                        1.0, 1e-12)
         assert np.abs(R.U - full.U).max() < 1e-8
+
+    def test_block_action_takes_the_dense_solver_steps(self, mod12):
+        rng = np.random.default_rng(601)
+        E = element_from_path(shallow_inward_path(rng, maxmode=2,
+                                                  depth=0.05), G=256, K=16)
+        gp = _interaction_generator(E.generator_path(), mod12)
+        dense = GeneratorPath(gp.sampler, gp.dim, gp.knots)
+        blocks, full = ode_exp(gp, 0.0, 1.0), ode_exp(dense, 0.0, 1.0)
+        assert blocks.meta["nfev"] == full.meta["nfev"]
+        assert blocks.stepcount == full.stepcount
+        assert np.abs(blocks.U - full.U).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

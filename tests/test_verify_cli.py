@@ -135,6 +135,17 @@ class TestRepresent:
         assert code == 1
         assert "schema error" in capsys.readouterr().err
 
+    def test_ungraded_module_file_exit_one(self, module_file, tmp_path,
+                                           capsys):
+        doc = json.loads(module_file.read_text())
+        doc["lmat"]["1"][0][2] = [0.25, 0.0]  # level 0 <- level 2 in L_1
+        bad = element_file(tmp_path, doc, name="bad.json")
+        el = element_file(tmp_path, {"kind": "identity"})
+        code = cli.main(["represent", str(bad), str(el),
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "outside the level blocks" in capsys.readouterr().err
+
     def test_missing_file(self, module_file, tmp_path):
         code = cli.main(["represent", str(module_file),
                          str(tmp_path / "nope.json")])

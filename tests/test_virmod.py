@@ -350,3 +350,77 @@ def test_serialization_deterministic():
     a = module_to_dict(build_module(ModuleParams(2.0, 0.5, 4)))
     b = module_to_dict(build_module(ModuleParams(2.0, 0.5, 4)))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _module_doc_with(doc, n, edit):
+    doc = json.loads(json.dumps(doc))
+    m = np.array([[complex(re, im) for re, im in row]
+                  for row in doc["lmat"][str(n)]])
+    m = edit(m)
+    doc["lmat"][str(n)] = [[[z.real, z.imag] for z in row] for row in m]
+    return doc
+
+
+def _set(m, i, j, value):
+    m = m.copy()
+    m[i, j] = value
+    return m
+
+
+@pytest.mark.parametrize("n, edit, message", [
+    (1, lambda m: m[:-1, :-1], "shape"),
+    (1, lambda m: _set(m, 0, 1, 1e-3j), "imaginary"),
+    (2, lambda m: _set(m, 0, 1, 0.5), "outside the level blocks"),
+    (0, lambda m: _set(m, 2, 2, 3.0), "outside the level blocks"),
+    (0, lambda m: _set(m, 1, 2, 0.1), "outside the level blocks"),
+])
+def test_module_file_must_be_graded(mod8, n, edit, message):
+    # index 1 is level 1, indices 2 and 3 span level 2
+    doc = _module_doc_with(module_to_dict(mod8), n, edit)
+    with pytest.raises(ArgumentError, match=message):
+        module_from_dict(doc)
+
+
+def test_module_file_dims_must_list_every_level(mod8):
+    doc = module_to_dict(mod8)
+    doc["N"] = 9
+    with pytest.raises(ArgumentError, match="dims lists 9 levels"):
+        module_from_dict(doc)
+
+
+def test_level_blocks_are_the_real_blocks_of_lmat(mod8):
+    off = mod8.level_offsets
+    for n in (-3, -1, 1, 2):
+        blocks = mod8.level_blocks(n)
+        assert mod8.level_blocks(n) is blocks  # cached
+        rebuilt = np.zeros((mod8.dim, mod8.dim))
+        for dst, src, block in blocks:
+            k = next(k for k in range(mod8.N + 1) if off[k] == src.start)
+            assert (dst.start, dst.stop) == (off[k - n], off[k - n + 1])
+            rebuilt[dst, src] = block
+        assert np.array_equal(rebuilt, mod8.lmat(n).real)
+
+
+def test_level_blocks_are_built_once_under_threads():
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    mod = build_module(ModuleParams(2.0, 0.5, 8))
+    modes = [n for n in range(-4, 5) if n]
+    workers = 8
+    start = threading.Barrier(workers, timeout=60)
+
+    def fetch(_):
+        start.wait()  # every thread meets the cold cache at once
+        return [mod.level_blocks(n) for n in modes]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            got = list(pool.map(fetch, range(workers), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    # a block list built twice would hand early callers another object
+    for blocks in got:
+        assert all(b is mod.level_blocks(n) for n, b in zip(modes, blocks))
