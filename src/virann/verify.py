@@ -1,13 +1,12 @@
 """Quantitative law checks packaged as named suites of pass/fail rows.
 
 Each suite turns one family of identities or bounds into rows
-(id, anchor, residual, bound, pass, seconds) where a row passes iff
+(id, anchor, residual, bound, pass, seconds, cpu_s) where a row passes iff
 residual <= bound.  Randomized suites draw from a generator seeded by the
-run seed and the suite's registry position, so the numerical content of a
-report is a function of (config, seed) up to roundoff: with a threaded
-BLAS, the order of its reductions may vary between runs, and residuals
-may then differ in their last digits.  The seconds column is the only
-field that varies between repeat runs with one BLAS thread.
+run seed and the suite's registry position, and ``run_config`` runs on one
+BLAS thread, so the rows are a function of (config, seed).  Only the
+seconds and cpu_s columns and the report's environment block vary between
+runs.
 
 Suites degrade gracefully at small cutoffs: rows whose construction needs
 more levels than the module has are omitted rather than faked.  Two heavy
@@ -24,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy
 
+from . import _blas
 from .annulus import (FramingHomotopy, bigon_factor, compose,
                       element_from_path, identity_element, standard_element)
 from .errors import ArgumentError
@@ -54,17 +55,26 @@ class CheckResult:
     bound: float
     ok: bool
     seconds: float
+    cpu_s: float
 
     def to_row(self) -> dict:
         return {"id": self.id, "anchor": self.anchor,
                 "residual": self.residual, "bound": self.bound,
-                "pass": self.ok, "seconds": self.seconds}
+                "pass": self.ok, "seconds": self.seconds, "cpu_s": self.cpu_s}
 
 
-def _row(rid: str, anchor: str, residual, bound, t0: float) -> CheckResult:
+def _clock() -> tuple[float, float]:
+    # wall and calling-thread CPU time; under run_config's BLAS pin the
+    # BLAS work of a row runs on its suite's thread, so both cover it
+    return time.perf_counter(), time.thread_time()
+
+
+def _row(rid: str, anchor: str, residual, bound,
+         t0: tuple[float, float]) -> CheckResult:
     r, b = float(residual), float(bound)
+    wall, cpu = _clock()
     return CheckResult(rid, anchor, r, b, bool(r <= b),
-                       round(time.perf_counter() - t0, 3))
+                       round(wall - t0[0], 3), round(cpu - t0[1], 3))
 
 
 def _shallow_path(rng: np.random.Generator, maxmode: int = 2, knots: int = 3,
@@ -96,7 +106,7 @@ def suite_gram(module, tol, rng):
     exact = _exact_params(module)
     levels = range(1, min(module.N, 4) + 1)
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     worst = 0.0
     for k in levels:
         ge = gram_matrix(exact, k)
@@ -108,7 +118,7 @@ def suite_gram(module, tol, rng):
             "float inner-product matrices against the exact rational "
             f"pipeline, levels 1..{levels[-1]}", worst, 1e-12, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     mismatch = 0.0
     for k in levels:
         ge = gram_matrix(exact, k)
@@ -120,7 +130,7 @@ def suite_gram(module, tol, rng):
             "exact matrices are symmetric as rationals", mismatch, 0.0, t0))
 
     if module.N >= 2:
-        t0 = time.perf_counter()
+        t0 = _clock()
         c, h = exact.c, exact.h
         want = np.array([[4 * h + c / 2, 6 * h], [6 * h, 4 * h * (2 * h + 1)]],
                         dtype=object)
@@ -131,7 +141,7 @@ def suite_gram(module, tol, rng):
             "level-2 matrix equals [[4h+c/2, 6h], [6h, 4h(2h+1)]]",
             gap, 0.0, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     neg = 0.0
     for k in range(1, min(module.N, 6) + 1):
         g = gram_matrix(module.params, k)
@@ -151,7 +161,7 @@ def suite_gram(module, tol, rng):
 
 
 def suite_bracket(module, tol, rng):
-    t0 = time.perf_counter()
+    t0 = _clock()
     c = float(module.params.c)
     off, dim = module.level_offsets, module.dim
     mrange = min(4, module.N)
@@ -178,7 +188,7 @@ def suite_qei(module, tol, rng):
     c = float(module.params.c)
     budget = min(4, module.N)
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     worst = -np.inf
     for _ in range(40):
         X = random_inward_field(4, rng, amplitude=float(rng.uniform(0.05, 2.0)))
@@ -195,7 +205,7 @@ def suite_qei(module, tol, rng):
             "Re<pi(X)v, v> - mu(X) over random inward fields and protected "
             "vectors", worst, 1e-8, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     X = VectorField({0: -1.0, 1: -0.5, -1: -0.5})
     expect = c * np.pi / 48.0
     gap = abs(qei_bound(X, c) - expect) / expect
@@ -207,7 +217,7 @@ def suite_qei(module, tol, rng):
 
 
 def suite_energy(module, tol, rng):
-    t0 = time.perf_counter()
+    t0 = _clock()
     c = float(module.params.c)
     C = energy_bound_constant(c)
     budget = min(4, module.N)
@@ -239,7 +249,7 @@ def suite_standard(module, tol, rng):
     h = float(module.params.h)
     k = module.level_index().astype(float)
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     r = 0.5
     U = represent(standard_element(r), module, tol=tol).U
     gap = np.abs(U - np.diag((r ** (h + k)).astype(complex))).max()
@@ -247,7 +257,7 @@ def suite_standard(module, tol, rng):
         "standard-real-diagonal",
         "scaling annulus r=0.5 acts as diag r^(h+k)", gap, 1e-9, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     q = 0.5 * np.exp(0.1j)
     U = represent(standard_element(q), module, tol=tol).U
     gap = np.abs(U - np.diag(q ** (h + k).astype(complex))).max()
@@ -255,7 +265,7 @@ def suite_standard(module, tol, rng):
         "standard-complex-diagonal",
         "scaling annulus q=0.5e^{0.1i} acts as diag q^(h+k)", gap, 1e-9, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     U = represent(identity_element(), module, tol=tol).U
     gap = np.abs(U - np.eye(module.dim)).max()
     rows.append(_row(
@@ -271,7 +281,7 @@ def suite_evolution(module, tol, rng):
 
     # the expm product limit at n = 4096 is only affordable on a small
     # module; the crossing identity does not depend on the cutoff
-    t0 = time.perf_counter()
+    t0 = _clock()
     small = _small_twin(module)
     worst = 0.0
     for _ in range(5):
@@ -283,9 +293,10 @@ def suite_evolution(module, tol, rng):
     rows.append(_row(
         "evolution-cross-validation",
         "adaptive solve against the 4096-step exponential product on an "
-        f"embedded N={small.N} module", worst, 1e-7, t0))
+        f"embedded N={small.N} module; the residual is the first-order "
+        "error of the 4096-step product", worst, 1e-7, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     p = random_inward_path(2, rng, knots=4, amplitude=0.2)
     gp = GeneratorPath.from_field_path(p, module)
     worst = max(flow_residual(gp, 0.0, r, 1.0, tol) for r in (0.37, 0.81))
@@ -298,7 +309,7 @@ def suite_evolution(module, tol, rng):
 def suite_adjoint(module, tol, rng):
     if module.N < 2:
         return []
-    t0 = time.perf_counter()
+    t0 = _clock()
     worst = 0.0
     for _ in range(2):
         p = random_inward_path(min(3, module.lmax), rng, knots=4, amplitude=0.3)
@@ -313,7 +324,7 @@ def suite_adjoint(module, tol, rng):
 def suite_growth(module, tol, rng):
     if module.N < 2:
         return []
-    t0 = time.perf_counter()
+    t0 = _clock()
     c = float(module.params.c)
     budget = min(4, module.N)
     worst = -np.inf
@@ -339,7 +350,7 @@ def suite_growth(module, tol, rng):
 
 def suite_semigroup(module, tol, rng):
     rows = []
-    t0 = time.perf_counter()
+    t0 = _clock()
     gap = semigroup_residual(standard_element(0.6),
                              standard_element(0.5 * np.exp(0.2j)),
                              module, tol=tol)
@@ -349,7 +360,7 @@ def suite_semigroup(module, tol, rng):
         gap, 1e-8, t0))
 
     if module.lmax >= 2:
-        t0 = time.perf_counter()
+        t0 = _clock()
         Ea = element_from_path(_shallow_path(rng), G=128, K=32)
         Eb = element_from_path(_shallow_path(rng), G=128, K=32,
                                start_curve=Ea.framing.in_curve())
@@ -363,7 +374,7 @@ def suite_semigroup(module, tol, rng):
 
 def suite_dagger(module, tol, rng):
     rows = []
-    t0 = time.perf_counter()
+    t0 = _clock()
     gap = dagger_residual(standard_element(0.5 * np.exp(0.3j)), module,
                           tol=tol)
     rows.append(_row(
@@ -372,7 +383,7 @@ def suite_dagger(module, tol, rng):
         gap, 1e-10, t0))
 
     if module.lmax >= 2:
-        t0 = time.perf_counter()
+        t0 = _clock()
         E = element_from_path(_shallow_path(rng), G=128, K=32)
         gap = dagger_residual(E, module, tol=tol)
         rows.append(_row(
@@ -400,7 +411,7 @@ def suite_cocycle(module, tol, rng):
     rows = []
     theta = 2.0 * np.pi * np.arange(128) / 128
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     t = np.linspace(0.0, 1.0, 49)
     sl = np.exp(t[:, None] * np.log(0.5) + 1j * theta[None, :])
     grid = np.repeat(sl[None, :, :], 5, axis=0)
@@ -410,7 +421,7 @@ def suite_cocycle(module, tol, rng):
         "constant homotopy leaves the operator fixed with unit central "
         "factor", cocycle_invariance_residual(H, module, tol=tol), 1e-7, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     q, Kt = 0.8, 192
     t = np.linspace(0.0, 1.0, Kt + 1)
     u = np.linspace(0.0, 1.0, 9)
@@ -426,7 +437,7 @@ def suite_cocycle(module, tol, rng):
     # the wiggled end framing extracts to modes up to 6, so the residual
     # is taken on levels <= N - 12
     if module.lmax >= 7 and module.protected_dim(12) > 0:
-        t0 = time.perf_counter()
+        t0 = _clock()
         H = _wiggle_homotopy(eps=0.05)
         gap = cocycle_invariance_residual(H, module, tol=tol, maxmode=7,
                                           tail_tol=3e-5)
@@ -439,7 +450,7 @@ def suite_cocycle(module, tol, rng):
 
 def suite_segal(module, tol, rng):
     rows = []
-    t0 = time.perf_counter()
+    t0 = _clock()
     E = standard_element(0.5)
     R = represent(E, module, tol=tol)
     worst = max(segal_residual(R, mode_field(n), module, tol=tol)
@@ -450,7 +461,7 @@ def suite_segal(module, tol, rng):
         worst, 1e-8, t0))
 
     if module.lmax >= 3:
-        t0 = time.perf_counter()
+        t0 = _clock()
         p = _shallow_path(rng, depth=0.012)
         E = element_from_path(p, G=128, K=32)
         R = represent(E, module, tol=tol)
@@ -470,7 +481,7 @@ def suite_derivative(module, tol, rng):
     small = _small_twin(module)
     L0 = small.lmat(0)
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     from scipy.linalg import expm
 
     def fam_diag(r):
@@ -484,7 +495,7 @@ def suite_derivative(module, tol, rng):
         "Duhamel integral and centered difference against the diagonal "
         "closed form", gap, 1e-6, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     base = pi_field(VectorField({0: -0.3}), small)
     bump = pi_field(VectorField({2: 0.2, -2: 0.1}), small)
 
@@ -499,7 +510,8 @@ def suite_derivative(module, tol, rng):
         gaps.append(np.linalg.norm(D_int - D_fd, 2))
     rows.append(_row(
         "derivative-agreement-small-delta",
-        "integral formula vs centered difference at delta = 1e-3",
+        "integral formula vs centered difference at delta = 1e-3; the "
+        "residual is the O(delta^2) error of the centered difference",
         gaps[1], 1e-7, t0))
     rows.append(_row(
         "derivative-quadratic-order",
@@ -510,21 +522,21 @@ def suite_derivative(module, tol, rng):
 
 def suite_holomorphy(module, tol, rng):
     rows = []
-    t0 = time.perf_counter()
+    t0 = _clock()
     r1 = holomorphy_residual(standard_element, module, 1e-3, tol=tol, at=0.5)
     rows.append(_row(
         "holomorphy-wirtinger",
         "conjugate-direction derivative of the scaling family vanishes to "
         "stencil order", r1, 1e-5, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     r2 = holomorphy_residual(standard_element, module, 2e-3, tol=tol, at=0.5)
     rows.append(_row(
         "holomorphy-quadratic-order",
         "residual ratio under step halving sits near the quadratic value "
         "1/4", r1 / r2, 0.45, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     ra = holomorphy_residual(lambda w: standard_element(np.conj(w)),
                              module, 1e-3, tol=tol, at=0.5)
     rows.append(_row(
@@ -539,14 +551,14 @@ def suite_mobius(module, tol, rng):
     rows = []
     h = float(module.params.h)
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     partials, limit = mobius_overlap(0.5 * np.exp(0.4j), h, nmax=20)
     rows.append(_row(
         "mobius-partial-sums",
         "lowering-exponential overlap partial sums reach the closed form "
         "(1-|w|^2)^(-2h)", abs(partials[-1] - limit), 1e-6, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     hq = Fraction(h)
     oracle = VirasoroOracle(Fraction(float(module.params.c)), hq)
     norms = lowering_norms(hq, 4)
@@ -566,7 +578,7 @@ def suite_bigon(module, tol, rng):
     I1 = (-0.4, np.pi + 0.4)
     I2 = (np.pi - 0.4, 2.0 * np.pi + 0.4)
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     g_in = 0.25 * np.exp(1j * THETA)
     g_out = np.exp(1j * THETA)
     B = bigon_factor(g_in, g_out, I1, I2)
@@ -578,7 +590,7 @@ def suite_bigon(module, tol, rng):
         "two-arc factor annuli glue back to the round annulus", gap,
         1e-8, t0))
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     co = 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     pert = np.zeros(G)
     for k, a in enumerate(co, start=1):
@@ -644,40 +656,53 @@ def normalize_config(cfg: dict) -> dict:
     return out
 
 
+def _environment(blas_threads: list[dict], workers: int) -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": blas_threads, "workers": workers,
+            "longdouble_eps": float(np.finfo(np.longdouble).eps)}
+
+
 def run_config(cfg: dict, workers: int | None = None) -> dict:
     """Build the configured module, run the requested suites, aggregate.
 
-    Suites run concurrently (thread pool, default up to 4 workers); rows
-    are aggregated in registry order regardless of completion order, so
-    the report content depends only on (config, seed), up to roundoff:
-    with a threaded BLAS, rows may differ between runs in their last
-    digits (pin it to one thread, e.g. OPENBLAS_NUM_THREADS=1, for
-    repeatable digits).
+    The whole run, module build included, holds every loaded OpenBLAS on
+    one thread (see ``_blas``; the pin is process-wide while run_config
+    runs, and the previous counts come back when it returns or raises).
+    Suites run concurrently (thread pool, default up to 4 workers) without
+    oversubscribing the cores, and rows are aggregated in registry order
+    regardless of completion order, so the rows are a function of
+    (config, seed).  Only the seconds and cpu_s columns and the report's
+    environment block vary between runs.
     """
-    cfg = normalize_config(cfg)
-    unknown = [s for s in cfg["suites"] if s not in SUITES]
-    if unknown:
-        raise ArgumentError(f"unknown suite name(s): {', '.join(unknown)}")
-    names = [n for n in SUITES if n in cfg["suites"]]
+    with _blas.one_thread() as blas_threads:
+        cfg = normalize_config(cfg)
+        unknown = [s for s in cfg["suites"] if s not in SUITES]
+        if unknown:
+            raise ArgumentError(
+                f"unknown suite name(s): {', '.join(unknown)}")
+        names = [n for n in SUITES if n in cfg["suites"]]
 
-    params = ModuleParams(cfg["module"]["c"], cfg["module"]["h"],
-                          cfg["module"]["N"])
-    module = build_module(params)
+        params = ModuleParams(cfg["module"]["c"], cfg["module"]["h"],
+                              cfg["module"]["N"])
+        module = build_module(params)
 
-    if workers is None:
-        workers = min(4, max(1, len(names)))
-    results: list[dict] = []
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(SUITES[n], module, cfg["tol"],
-                                suite_rng(cfg["seed"], n)) for n in names]
-            for f in futs:
-                results.extend(r.to_row() for r in f.result())
-    else:
-        for n in names:
-            results.extend(r.to_row() for r in
-                           SUITES[n](module, cfg["tol"],
-                                     suite_rng(cfg["seed"], n)))
+        if workers is None:
+            workers = min(4, max(1, len(names)))
+        pooled = workers > 1 and len(names) > 1
+        results: list[dict] = []
+        if pooled:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futs = [pool.submit(SUITES[n], module, cfg["tol"],
+                                    suite_rng(cfg["seed"], n)) for n in names]
+                for f in futs:
+                    results.extend(r.to_row() for r in f.result())
+        else:
+            for n in names:
+                results.extend(r.to_row() for r in
+                               SUITES[n](module, cfg["tol"],
+                                         suite_rng(cfg["seed"], n)))
 
     npass = sum(1 for r in results if r["pass"])
     c, h = params.as_floats()
@@ -688,4 +713,6 @@ def run_config(cfg: dict, workers: int | None = None) -> dict:
         "results": results,
         "counts": {"pass": npass, "fail": len(results) - npass},
         "passed": npass == len(results),
+        "environment": _environment(blas_threads,
+                                    workers if pooled else 1),
     }

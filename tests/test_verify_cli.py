@@ -2,11 +2,13 @@
 
 import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from virann import cli, verify
+from virann import _blas, cli, verify
 
 LIGHT = "gram,bracket,qei,energy,mobius,bigon"
 
@@ -200,6 +202,140 @@ class TestRunConfig:
             "cocycle-constant-homotopy", "cocycle-reparametrization"]
         assert rep["passed"]
 
+    def test_row_cpu_time_within_wall_time(self):
+        rep = verify.run_config({"module": {"c": 2, "h": 0.5, "N": 6},
+                                 "suites": ["qei", "energy", "bigon"]})
+        for r in rep["results"]:
+            assert 0.0 <= r["cpu_s"] <= r["seconds"] + 0.002, r
+
+    def test_report_validates_with_and_without_new_fields(self):
+        import jsonschema
+        schema = cli.load_schema("report")
+        rep = verify.run_config({"module": {"c": 2, "h": 0.5, "N": 4},
+                                 "suites": ["gram", "mobius"]}, workers=2)
+        env = rep["environment"]
+        assert env["workers"] == 2
+        assert env["numpy"] == np.__version__
+        assert env["longdouble_eps"] == float(np.finfo(np.longdouble).eps)
+        jsonschema.validate(rep, schema)
+        del rep["environment"]
+        for r in rep["results"]:
+            del r["cpu_s"]
+        jsonschema.validate(rep, schema)
+
+
+# ---------------------------------------------------------------------------
+# verify: one BLAS thread inside run_config
+
+
+def _blas_counts():
+    return {name: get() for name, (get, _) in _blas.libraries().items()}
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """Every loaded OpenBLAS at 2 threads; the previous counts after."""
+    libs = _blas.libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS library found in the process")
+    before = _blas_counts()
+    for _, put in libs.values():
+        put(2)
+    yield
+    for name, (_, put) in libs.items():
+        put(before[name])
+
+
+class TestBlasPin:
+    CFG = {"module": {"c": 2, "h": 0.5, "N": 2}, "suites": ["gram", "mobius"]}
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_suites_see_one_thread_and_counts_return(
+            self, monkeypatch, two_blas_threads, workers):
+        seen = []
+        monkeypatch.setitem(verify.SUITES, "gram",
+                            lambda *a: seen.append(_blas_counts()) or [])
+        rep = verify.run_config(self.CFG, workers=workers)
+        assert seen and all(set(c.values()) == {1} for c in seen)
+        assert set(_blas_counts().values()) == {2}
+        assert {(t["threads_before"], t["threads_pinned"])
+                for t in rep["environment"]["blas_threads"]} == {(2, 1)}
+
+    def test_counts_return_when_a_suite_raises(self, monkeypatch,
+                                               two_blas_threads):
+        def probe(*a):
+            raise RuntimeError("probe")
+        monkeypatch.setitem(verify.SUITES, "gram", probe)
+        for workers in (1, 4):
+            with pytest.raises(RuntimeError, match="probe"):
+                verify.run_config(self.CFG, workers=workers)
+            assert set(_blas_counts().values()) == {2}
+
+    def test_overlapping_runs_restore_when_the_last_exits(self, monkeypatch,
+                                                          two_blas_threads):
+        both_inside = threading.Barrier(2, timeout=30)
+        early_done = threading.Event()
+        seen = {}
+
+        def probe(*a):
+            both_inside.wait()
+            name = threading.current_thread().name
+            if name == "late":
+                assert early_done.wait(timeout=30)
+            seen[name] = _blas_counts()
+            return []
+
+        def run():
+            verify.run_config({**self.CFG, "suites": ["gram"]}, workers=1)
+            if threading.current_thread().name == "early":
+                early_done.set()
+
+        monkeypatch.setitem(verify.SUITES, "gram", probe)
+        threads = [threading.Thread(target=run, name=n)
+                   for n in ("early", "late")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert set(seen) == {"early", "late"}
+        assert set(seen["late"].values()) == {1}
+        assert set(_blas_counts().values()) == {2}
+
+    def test_many_overlapping_runs_see_one_thread(self, monkeypatch,
+                                                  two_blas_threads):
+        seen = []
+        monkeypatch.setitem(verify.SUITES, "gram",
+                            lambda *a: seen.append(_blas_counts()) or [])
+        cfg = {**self.CFG, "suites": ["gram"]}
+        threads = [threading.Thread(
+            target=lambda: [verify.run_config(cfg, workers=1)
+                            for _ in range(40)]) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 320
+        assert all(set(c.values()) == {1} for c in seen)
+        assert set(_blas_counts().values()) == {2}
+
+    def test_residuals_do_not_depend_on_the_thread_count(self,
+                                                         two_blas_threads):
+        cfg = {"module": {"c": 2, "h": 0.5, "N": 10},
+               "suites": ["bracket", "qei", "energy"]}
+        a = verify.run_config(cfg)
+        for _, put in _blas.libraries().values():
+            put(1)
+        b = verify.run_config(cfg)
+        assert [(r["id"], r["residual"]) for r in a["results"]] \
+            == [(r["id"], r["residual"]) for r in b["results"]]
+
 
 # ---------------------------------------------------------------------------
 # verify: command line
@@ -246,7 +382,7 @@ class TestVerifyCommand:
         for d in ("a", "b"):
             assert cli.main(["verify", "--N", "6", "--suite", "gram,qei,bigon",
                              "--seed", "7", "--out", str(tmp_path / d)]) == 0
-        strip = lambda s: re.sub(r'"seconds": [0-9.]+', '"seconds": 0', s)
+        strip = lambda s: re.sub(r'"(seconds|cpu_s)": [0-9.]+', '"t": 0', s)
         a = (tmp_path / "a" / "report.json").read_text()
         b = (tmp_path / "b" / "report.json").read_text()
         assert strip(a) == strip(b)
