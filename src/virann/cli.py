@@ -6,20 +6,32 @@ Subcommands:
   verify     run verification suites and write a report (json or csv)
 
 Values resolve flag > VIRANN_-prefixed environment variable > config file
-> built-in default.  Exit status: 0 success (for verify, every check
-passed); 1 schema errors, unknown suites, or failed checks; 2 violated
-preconditions (non-inward elements, nonunitary parameters, modes or
-depths beyond what the cutoff resolves).
+> built-in default.  Module and element files, the resolved run
+configuration and the report are checked against their schemas in
+``virann/schemas``.  One validator per schema is built per process; the
+matrices of a module file are first checked by one exact pass over their
+entries, and jsonschema then checks the rest of the file (the whole file,
+when the pass declines), so the accepted files and the error messages are
+jsonschema's.  Module files and represented operators are written by the
+C JSON encoder.
+
+Exit status: 0 success (for verify, every check passed); 1 schema errors,
+non-finite numbers or integers beyond float range in input files, unknown
+suites, or failed checks; 2 violated preconditions (non-inward elements,
+nonunitary parameters, modes or depths beyond what the cutoff resolves).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import os
 import sys
 from importlib import resources
+from itertools import chain
 
 import jsonschema
 
@@ -39,8 +51,63 @@ def load_schema(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
+@functools.cache
+def _validator(schema_name: str):
+    """The schema's validator, built and meta-checked once per process."""
+    schema = load_schema(schema_name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _matrices_pass(lmat) -> bool:
+    """True when every lmat value is a list of lists of [number, number].
+
+    Accepts a subset of the schema's matrix subschema: containers must be
+    exactly ``list`` and entries exactly ``int`` or ``float`` (jsonschema's
+    "number" excludes bool).  Each check is one C-level map over a matrix.
+    """
+    if type(lmat) is not dict:
+        return False
+    for m in lmat.values():
+        if type(m) is not list or not set(map(type, m)) <= {list}:
+            return False
+        pairs = list(chain.from_iterable(m))
+        if not (set(map(type, pairs)) <= {list}
+                and set(map(len, pairs)) <= {2}
+                and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
+            return False
+    return True
+
+
 def _validate(doc: dict, schema_name: str) -> None:
-    jsonschema.validate(doc, load_schema(schema_name))
+    """Raise jsonschema's best-matching ValidationError for ``doc``, if any.
+
+    Same outcome and message as ``jsonschema.validate(doc, schema)``.  When
+    every matrix of a module document passes ``_matrices_pass``, jsonschema
+    sees the document with each matrix replaced by ``[]``: the matrices are
+    then known to be valid, and jsonschema still checks the lmat keys, c,
+    h, N and dims.
+    """
+    if (schema_name == "module" and type(doc) is dict
+            and _matrices_pass(doc.get("lmat"))):
+        doc = {**doc, "lmat": dict.fromkeys(doc["lmat"], [])}
+    error = jsonschema.exceptions.best_match(
+        _validator(schema_name).iter_errors(doc))
+    if error is not None:
+        raise error
+
+
+def _write_json(path: str, doc: dict) -> None:
+    # json.dumps without indent runs the C encoder; json.dump streams the
+    # same text through the Python one
+    with open(path, "w") as f:
+        f.write(json.dumps(doc) + "\n")
+
+
+def _require_finite(what: str, values) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ArgumentError(f"{what} must be finite numbers")
 
 
 def _env(name: str) -> str | None:
@@ -75,9 +142,7 @@ def cmd_build(args) -> int:
               else build_module(params, nulltol=tol))
     doc = module_to_dict(module)
     _validate(doc, "module")
-    with open(out, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    _write_json(out, doc)
 
     full = [len(b) for b in module.basis]
     nulls = [a - b for a, b in zip(full, module.dims)]
@@ -94,7 +159,16 @@ def cmd_build(args) -> int:
 
 
 def _element_from_doc(doc: dict):
-    """Decode an element file: (argument for represent, scalar or None)."""
+    """Decode an element file: (argument for represent, scalar or None).
+
+    Non-finite numbers raise ArgumentError: the schema's "number" admits
+    NaN and Infinity, which no element has.
+    """
+    for key in ("z", "q", "knots"):
+        _require_finite(f"element {key}", doc.get(key, ()))
+    for fd in doc.get("fields", ()):
+        _require_finite("mode coefficients",
+                        [x for _, re_, im in fd["modes"] for x in (re_, im)])
     z = complex(*doc["z"]) if "z" in doc else 1.0 + 0j
     kind = doc["kind"]
     if kind == "identity":
@@ -133,9 +207,7 @@ def cmd_represent(args) -> int:
                             "bound": float(b["bound"]), "ok": bool(b["ok"])}
                    for n, b in bounds.items()},
     }
-    with open(out, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    _write_json(out, doc)
 
     cm, hm = module.params.as_floats()
     print(f"represented element on (c={cm:g}, h={hm:g}, N={module.N}) "
@@ -272,7 +344,8 @@ def main(argv=None) -> int:
     except jsonschema.ValidationError as e:
         print(f"schema error: {e.message}", file=sys.stderr)
         return 1
-    except (ArgumentError, json.JSONDecodeError, OSError) as e:
+    except (ArgumentError, json.JSONDecodeError, OSError,
+            OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

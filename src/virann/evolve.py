@@ -179,7 +179,9 @@ def _sweep(rhs, segments, y0, tol: float, method: str, dense: bool):
     Returns (y_end, steps, nfev, dense output or None).  It steps scipy's
     solver itself and keeps only the current state, where ``solve_ivp``
     would store every step's; steps, evaluations, the end state and the
-    dense output are those of ``solve_ivp`` with the same options.
+    dense output are those of ``solve_ivp`` with the same options.  A
+    non-finite initial step (from a NaN or infinite first evaluation)
+    raises EvolutionError.
     """
     solver_cls = _SOLVERS.get(method)
     if solver_cls is None:
@@ -190,6 +192,10 @@ def _sweep(rhs, segments, y0, tol: float, method: str, dense: bool):
     pieces = []
     for a, b in segments:
         solver = solver_cls(rhs, float(a), y, float(b), rtol=tol, atol=tol)
+        if not np.isfinite(solver.h_abs):
+            # a NaN step never falls below scipy's minimum and never ends
+            raise EvolutionError(f"initial step on [{a}, {b}] is "
+                                 f"{solver.h_abs}: non-finite generator")
         ts, interpolants = [solver.t], []
         while solver.status == "running":
             message = solver.step()

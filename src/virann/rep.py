@@ -131,11 +131,8 @@ class RepresentedAnnulus:
         return _opnorm(self.U * np.outer(w, 1.0 / w))
 
     def _field_sup(self, sobolev_index: float) -> float:
-        ts = sorted(set(self.path.knots)
-                    | {0.5 * (a + b)
-                       for a, b in zip(self.path.knots, self.path.knots[1:])})
         return max(field_norm(self.path.field_at(t), sobolev_index)
-                   for t in ts)
+                   for t in _knots_and_midpoints(self.path))
 
     def hn_report(self, ns=(0, 1, 2)) -> dict:
         C = energy_bound_constant(float(self.module.params.c))
@@ -146,6 +143,12 @@ class RepresentedAnnulus:
             out[int(n)] = {"norm": norm, "bound": bound,
                            "ok": bool(norm <= bound * (1.0 + 1e-9))}
         return out
+
+
+def _knots_and_midpoints(path: FieldPath) -> list[float]:
+    """Knots and the midpoints between them, where bounds take a path's sup."""
+    k = path.knots
+    return sorted(set(k) | {0.5 * (a + b) for a, b in zip(k, k[1:])})
 
 
 def _interaction_generator(path: FieldPath,
@@ -516,11 +519,8 @@ def contraction_check(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
     the bound, and the verdict.
     """
     R = _ensure_represented(E, module, tol)
-    ts = sorted(set(R.path.knots)
-                | {0.5 * (a + b)
-                   for a, b in zip(R.path.knots, R.path.knots[1:])})
     mu = max(qei_bound(R.path.field_at(t), float(module.params.c))
-             for t in ts)
+             for t in _knots_and_midpoints(R.path))
     budget = 2 * R.path.maxmode
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -19,6 +19,7 @@ tests) or floats; the reduction code is generic over both.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,6 @@ import numpy as np
 from .errors import ArgumentError, NonUnitaryError, TruncationError
 
 Partition = tuple[int, ...]
-Scalar = "Fraction | float"
 
 #: relative eigenvalue threshold below which a gram direction is quotiented
 DEFAULT_NULLTOL = 1e-9
@@ -122,8 +122,7 @@ class VirasoroOracle:
             if n == head:
                 central = (self.c * (n**3 - n)) / 12
                 if central != 0:
-                    for mu, a in self._as_state(rest).items():
-                        _acc(out, mu, a * central)
+                    _acc(out, rest, central)
 
         out = {p: v for p, v in out.items() if v != 0}
         self._apply_cache[key] = out
@@ -131,10 +130,6 @@ class VirasoroOracle:
 
     def _one(self):
         return self._zero + 1
-
-    @staticmethod
-    def _as_state(lam: Partition) -> dict[Partition, object]:
-        return {lam: 1}
 
     # -- words
 
@@ -556,13 +551,17 @@ def module_to_dict(module: ModuleData) -> dict:
 def module_from_dict(data: dict) -> ModuleData:
     """Inverse of ``module_to_dict``.
 
-    Raises ArgumentError unless every L_n has the graded shape of a
-    module: a (dim, dim) matrix, zero outside the level blocks that map
-    level k to level k - n, and real.  L_0 must be the diagonal h + k.
-    The block products of ``field.pi_field`` read exactly that structure,
-    so a file breaking it would otherwise act as another operator.
+    Raises ArgumentError unless c, h and every matrix entry are finite and
+    every L_n has the graded shape of a module: a (dim, dim) matrix, zero
+    outside the level blocks that map level k to level k - n, and real.
+    L_0 must be the diagonal h + k.  The block products of
+    ``field.pi_field`` read exactly that structure, so a file breaking it
+    would otherwise act as another operator.
     """
-    params = ModuleParams(float(data["c"]), float(data["h"]), int(data["N"]))
+    c, h = float(data["c"]), float(data["h"])
+    if not (math.isfinite(c) and math.isfinite(h)):
+        raise ArgumentError(f"c = {c} and h = {h} must be finite")
+    params = ModuleParams(c, h, int(data["N"]))
     dims = tuple(int(d) for d in data["dims"])
     if len(dims) != params.N + 1:
         raise ArgumentError(f"dims lists {len(dims)} levels, N = {params.N} "
@@ -585,6 +584,8 @@ def _check_graded(module: ModuleData) -> None:
         if m.shape != (dim, dim):
             raise ArgumentError(f"lmat {n} has shape {m.shape}, the dims "
                                 f"give ({dim}, {dim})")
+        if not np.isfinite(m).all():
+            raise ArgumentError(f"lmat {n} has non-finite entries")
         if m.imag.any():
             raise ArgumentError(f"lmat {n} has a nonzero imaginary part")
         if n == 0:  # the diagonal h + k, to the rounding of a text file

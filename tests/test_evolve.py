@@ -1,6 +1,7 @@
 """Time-ordered exponentials: product scheme, ODE engine, identities."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from virann.annulus import standard_element
-from virann.errors import ArgumentError
+from virann.errors import ArgumentError, EvolutionError
 from virann.evolve import (
     DEFAULT_ODE_TOL,
     EvolutionResult,
@@ -156,6 +157,26 @@ def test_sweep_steps_like_solve_ivp(noncommuting_path):
         assert np.array_equal(y, want)
         assert (steps, nfev) == (want_steps, want_nfev)
         assert (sol is None) == (not dense)
+
+
+@pytest.mark.parametrize("method", ["RK23", "RK45", "DOP853"])
+def test_nan_generator_raises_instead_of_spinning(method):
+    # a NaN first evaluation gives scipy a NaN initial step, which its
+    # step loop never rejects as too small
+    raised = []
+
+    def run():
+        try:
+            ode_exp(GeneratorPath.constant(np.full((2, 2), np.nan)), 0.0, 1.0,
+                    method=method)
+        except EvolutionError as e:
+            raised.append(str(e))
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(60)
+    assert not t.is_alive()
+    assert raised and "initial step" in raised[0]
 
 
 def test_field_path_acts_like_its_dense_generator(mod12, rng):

@@ -1,14 +1,18 @@
 """Verification suites and the command-line front end."""
 
+import copy
+import io
 import json
 import re
 import sys
 import threading
 
+import jsonschema
 import numpy as np
 import pytest
 
 from virann import _blas, cli, verify
+from virann.virmod import ModuleParams, build_module, module_to_dict
 
 LIGHT = "gram,bracket,qei,energy,mobius,bigon"
 
@@ -152,6 +156,200 @@ class TestRepresent:
         code = cli.main(["represent", str(module_file),
                          str(tmp_path / "nope.json")])
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# schema validation: the same outcome and message as jsonschema.validate
+
+
+def _outcome(check):
+    try:
+        check()
+    except jsonschema.ValidationError as e:
+        return e.message, list(e.path)
+    return None
+
+
+def _module_corpus():
+    good = module_to_dict(build_module(ModuleParams(2.0, 0.5, 3)))
+    corpus = {"valid": good}
+
+    def variant(name, edit):
+        doc = copy.deepcopy(good)
+        edit(doc)
+        corpus[name] = doc
+
+    for label, entry in [("true", True), ("str", "1"), ("null", None),
+                         ("list", [1])]:
+        variant(f"entry-{label}",
+                lambda d, e=entry: d["lmat"]["1"][0].__setitem__(1, [e, 0.0]))
+    variant("pair-of-1", lambda d: d["lmat"]["-1"][1].__setitem__(0, [0.0]))
+    variant("pair-of-3",
+            lambda d: d["lmat"]["2"][0].__setitem__(0, [0.0, 0.0, 0.0]))
+    variant("row-not-list", lambda d: d["lmat"]["0"].__setitem__(2, 7))
+    variant("matrix-not-list", lambda d: d["lmat"].__setitem__("3", {"0": []}))
+    variant("key-x", lambda d: d["lmat"].__setitem__("x", d["lmat"]["1"]))
+    variant("extra-key", lambda d: d.__setitem__("extra", 1))
+    variant("missing-dims", lambda d: d.pop("dims"))
+    variant("negative-c", lambda d: d.__setitem__("c", -1))
+    variant("negative-c-and-bad-entry", lambda d: (
+        d.__setitem__("c", -1), d["lmat"]["1"][0].__setitem__(0, [True, 0])))
+    variant("float64-entries", lambda d: d["lmat"].__setitem__(
+        "1", [[[np.float64(x) for x in z] for z in row]
+              for row in d["lmat"]["1"]]))
+    return corpus
+
+
+_RUN_CONFIG = {"module": {"c": 2.0, "h": 0.5, "N": 4}, "tol": 1e-10,
+               "seed": 1, "suites": ["gram", "mobius"], "format": "json",
+               "out": ".", "verbosity": 1}
+
+_CORPUS = [
+    *[("module", k, d) for k, d in _module_corpus().items()],
+    ("element", "identity", {"kind": "identity"}),
+    ("element", "standard", {"kind": "standard", "q": [0.5, 0.0]}),
+    ("element", "standard-z", {"kind": "standard", "q": [0.5, 0.0],
+                               "z": [0.0, 2.0]}),
+    ("element", "path", {"kind": "path", "knots": [0.0, 1.0],
+                         "fields": [{"modes": [[0, -0.3, 0.0]]},
+                                    {"modes": [[0, -0.3, 0.0]]}]}),
+    ("element", "standard-without-q", {"kind": "standard"}),
+    ("run_config", "full", _RUN_CONFIG),
+    ("run_config", "module-only", {"module": {"c": 2, "h": 0.5, "N": 2},
+                                   "suites": ["qei", "gram"]}),
+    ("run_config", "unknown-suite", {**_RUN_CONFIG, "suites": ["nonsense"]}),
+    ("run_config", "N-too-large", {**_RUN_CONFIG,
+                                   "module": {"c": 2, "h": 0.5, "N": 25}}),
+]
+
+
+class TestValidate:
+    @pytest.mark.parametrize("schema,name,doc", _CORPUS,
+                             ids=[f"{s}-{n}" for s, n, _ in _CORPUS])
+    def test_same_outcome_as_jsonschema(self, schema, name, doc):
+        ours = _outcome(lambda: cli._validate(doc, schema))
+        reference = _outcome(
+            lambda: jsonschema.validate(doc, cli.load_schema(schema)))
+        assert ours == reference
+        assert (ours is None) == (name in {
+            "valid", "float64-entries", "identity", "standard", "standard-z",
+            "path", "full", "module-only"})
+
+    def test_matrix_pass_declines_numpy_scalars(self):
+        corpus = _module_corpus()
+        assert cli._matrices_pass(corpus["valid"]["lmat"])
+        assert not cli._matrices_pass(corpus["float64-entries"]["lmat"])
+
+
+# ---------------------------------------------------------------------------
+# the files and calls perfbench's cli-files workload reads
+
+
+class TestOutputFiles:
+    def test_files_are_the_text_of_json_dump(self, tmp_path):
+        m = tmp_path / "m.json"
+        assert cli.main(["build", "--N", "5", "--out", str(m)]) == 0
+        buf = io.StringIO()
+        json.dump(module_to_dict(build_module(ModuleParams(2.0, 0.5, 5))), buf)
+        assert m.read_bytes() == (buf.getvalue() + "\n").encode()
+        elements = [{"kind": "standard", "q": [0.5, 0.1]},
+                    {"kind": "path", "knots": [0.0, 0.5, 1.0],
+                     "fields": [{"modes": [[0, -0.3, 0.0], [1, 0.02, 0.01]]},
+                                {"modes": [[0, -0.2, 0.1], [-1, 0.0, 0.02]]},
+                                {"modes": [[0, -0.3, 0.0]]}]}]
+        for i, el in enumerate(elements):
+            out = tmp_path / f"r{i}.json"
+            assert cli.main(["represent", str(m),
+                             str(element_file(tmp_path, el, f"e{i}.json")),
+                             "--out", str(out)]) == 0
+            text = out.read_text()
+            buf = io.StringIO()
+            json.dump(json.loads(text), buf)
+            assert text == buf.getvalue() + "\n"
+
+    def test_validate_calls_and_validators_built(self, tmp_path, monkeypatch):
+        m = tmp_path / "m.json"
+        els = [element_file(tmp_path, {"kind": "standard", "q": [0.5, 0.0]},
+                            "s.json"),
+               element_file(tmp_path, {"kind": "identity"}, "i.json")]
+        calls = []
+        validate = cli._validate
+        monkeypatch.setattr(cli, "_validate",
+                            lambda doc, name: calls.append(name)
+                            or validate(doc, name))
+        cli._validator.cache_clear()
+        for _ in range(2):
+            assert cli.main(["build", "--N", "4", "--out", str(m)]) == 0
+            for el in els:
+                assert cli.main(["represent", str(m), str(el), "--out",
+                                 str(tmp_path / "r.json")]) == 0
+        assert calls == 2 * ["module", "module", "element",
+                             "module", "element"]
+        info = cli._validator.cache_info()
+        assert (info.misses, info.hits) == (2, 8)
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers in input files
+
+
+def _main_returns(argv, timeout=60.0):
+    """cli.main(argv) on a daemon thread: its exit code, None if it hangs."""
+    codes = []
+    t = threading.Thread(target=lambda: codes.append(cli.main(argv)),
+                         daemon=True)
+    t.start()
+    t.join(timeout)
+    return codes[0] if codes else None
+
+
+_NAN = float("nan")
+_INF = float("inf")
+_BAD_ELEMENTS = {
+    "z-infinity": {"kind": "identity", "z": [_INF, 0.0]},
+    "q-nan": {"kind": "standard", "q": [_NAN, 0.0]},
+    "mode-nan": {"kind": "path", "knots": [0.0, 1.0],
+                 "fields": [{"modes": [[0, -0.3, 0.0], [1, _NAN, 0.0]]},
+                            {"modes": [[0, -0.3, 0.0]]}]},
+    "knot-nan": {"kind": "path", "knots": [0.0, _NAN, 1.0],
+                 "fields": [{"modes": [[0, -0.3, 0.0]]}] * 3},
+}
+
+
+class TestNonFinite:
+    def test_nan_matrix_entry(self, module_file, tmp_path, capsys):
+        doc = json.loads(module_file.read_text())
+        doc["lmat"]["1"][0][1] = [_NAN, 0.0]  # inside L_1's level-1 block
+        bad = element_file(tmp_path, doc, "bad.json")
+        el = element_file(tmp_path, {"kind": "identity"})
+        assert _main_returns(["represent", str(bad), str(el), "--out",
+                              str(tmp_path / "r.json")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_central_charge(self, module_file, tmp_path, capsys):
+        text = module_file.read_text()
+        assert '"c": 2.0' in text  # 1e999 parses to inf with no such token
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"c": 2.0', '"c": 1e999', 1))
+        el = element_file(tmp_path, {"kind": "identity"})
+        assert _main_returns(["represent", str(bad), str(el), "--out",
+                              str(tmp_path / "r.json")]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range(self, module_file, tmp_path, capsys):
+        el = tmp_path / "el.json"
+        el.write_text('{"kind": "standard", "q": [1%s, 0]}' % ("0" * 400))
+        assert _main_returns(["represent", str(module_file), str(el),
+                              "--out", str(tmp_path / "r.json")]) == 1
+        assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(_BAD_ELEMENTS))
+    def test_element(self, module_file, tmp_path, capsys, name):
+        el = element_file(tmp_path, _BAD_ELEMENTS[name])
+        assert _main_returns(["represent", str(module_file), str(el),
+                              "--out", str(tmp_path / "r.json")]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 # ---------------------------------------------------------------------------
