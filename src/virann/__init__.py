@@ -81,7 +81,6 @@ from .rep import (
 from .verify import SUITES, CheckResult, run_config
 from .virmod import (
     DEFAULT_NULLTOL,
-    GradedVector,
     ModuleData,
     ModuleParams,
     VirasoroOracle,

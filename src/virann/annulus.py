@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.integrate import solve_ivp
-
 from .errors import ArgumentError, GridError, NotInwardError, TruncationError
+from .evolve import _sweep
 from .field import FieldPath, VectorField, cocycle, to_theta, witt_bracket
 
 DEFAULT_G = 256
@@ -327,7 +326,8 @@ def element_from_path(path: FieldPath, G: int = DEFAULT_G, K: int = DEFAULT_K,
     amplify roundoff by e^(mode x field strength).  ``start_curve``
     chains elements into composable pairs: flowing the second factor
     from the incoming curve of the first makes the junction match
-    exactly.
+    exactly.  Each row is one RK45 solve of ``evolve._sweep``; a failed
+    step raises EvolutionError, as every other solve does.
     """
     margin = path.max_inward_margin()
     if margin > inward_tol:
@@ -352,11 +352,8 @@ def element_from_path(path: FieldPath, G: int = DEFAULT_G, K: int = DEFAULT_K,
     ks[0], ks[-1] = 0.0, 1.0
     rows = [_spectral_filter(start, clip_tol=clip_tol)]
     for a, b in zip(ks[:-1], ks[1:]):
-        sol = solve_ivp(rhs, (a, b), rows[-1], method="RK45",
-                        rtol=tol, atol=tol)
-        if not sol.success:
-            raise GridError(f"circle flow failed on [{a}, {b}]: {sol.message}")
-        rows.append(_spectral_filter(sol.y[:, -1], clip_tol=clip_tol))
+        y, *_ = _sweep(rhs, [(a, b)], rows[-1], tol, "RK45")
+        rows.append(_spectral_filter(y, clip_tol=clip_tol))
     return AnnulusElement(Framing(np.array(rows), ks), z=complex(z), path=path)
 
 

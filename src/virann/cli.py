@@ -162,13 +162,11 @@ def _element_from_doc(doc: dict):
     """Decode an element file: (argument for represent, scalar or None).
 
     Non-finite numbers raise ArgumentError: the schema's "number" admits
-    NaN and Infinity, which no element has.
+    NaN and Infinity, which no element has.  z and q are checked here;
+    ``FieldPath`` checks the knots and mode coefficients.
     """
-    for key in ("z", "q", "knots"):
+    for key in ("z", "q"):
         _require_finite(f"element {key}", doc.get(key, ()))
-    for fd in doc.get("fields", ()):
-        _require_finite("mode coefficients",
-                        [x for _, re_, im in fd["modes"] for x in (re_, im)])
     z = complex(*doc["z"]) if "z" in doc else 1.0 + 0j
     kind = doc["kind"]
     if kind == "identity":

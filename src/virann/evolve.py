@@ -14,6 +14,12 @@ for the non-diagonal part in the interaction picture.  Both engines, run
 on full generators, stay the cross-checks of that split.  Also here: the
 adjoint-reversal identity check, the parameter-derivative (Duhamel)
 formula, and growth-bound reporting.
+
+Every ODE of the package (these matrix solves, the field transport of
+``rep`` and the circle flow of ``annulus.element_from_path``) is stepped
+by one loop, ``_sweep``.  It keeps only the current state; a caller that
+needs intermediate states names their times up front (``at``), and each
+is read from the dense output of the step that reaches it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, RK23, RK45, OdeSolution
+from scipy.integrate import DOP853, RK23, RK45
 from scipy.linalg import expm
 
 from .errors import ArgumentError, EvolutionError
@@ -155,65 +161,73 @@ def _segments(knots, s: float, t: float) -> list[tuple[float, float]]:
     return list(zip(pts, pts[1:]))
 
 
-class _PiecewiseDense:
-    """Dense output stitched across segment solves."""
-
-    def __init__(self, pieces):
-        self.pieces = pieces  # list of (lo, hi, scipy OdeSolution)
-
-    def __call__(self, x: float) -> np.ndarray:
-        for lo, hi, sol in self.pieces:
-            if lo - 1e-14 <= x <= hi + 1e-14:
-                return sol(min(max(x, lo), hi))
-        raise ArgumentError(f"time {x} outside the integrated range")
-
-
 #: the explicit Runge-Kutta methods; an implicit one would form a Jacobian
 #: of the d^2-sized state
 _SOLVERS = {s.__name__: s for s in (RK23, RK45, DOP853)}
 
 
-def _sweep(rhs, segments, y0, tol: float, method: str, dense: bool):
-    """Sequential adaptive solves over segments.
+def _sweep(rhs, segments, y0, tol: float, method: str, at=()):
+    """The one stepping loop: sequential adaptive solves over segments.
 
-    Returns (y_end, steps, nfev, dense output or None).  It steps scipy's
-    solver itself and keeps only the current state, where ``solve_ivp``
-    would store every step's; steps, evaluations, the end state and the
-    dense output are those of ``solve_ivp`` with the same options.  A
-    non-finite initial step (from a NaN or infinite first evaluation)
-    raises EvolutionError.
+    Returns (y_end, steps, nfev, states at the times in ``at``).  It steps
+    scipy's solver itself and keeps only the current state; steps,
+    evaluations and the end state are those of scipy's own driver with the
+    same options.  Each time in ``at`` is read from the dense output of
+    the first step that reaches it, while that step is live: the
+    interpolant that the driver's stitched dense output would pick.  A
+    time outside every segment raises ArgumentError; a non-finite initial
+    step (from a NaN or infinite first evaluation) raises EvolutionError.
     """
     solver_cls = _SOLVERS.get(method)
     if solver_cls is None:
         raise ArgumentError(f"unknown method {method!r}, use one of "
                             f"{', '.join(_SOLVERS)}")
+    for x in at:
+        if not any(min(a, b) <= x <= max(a, b) for a, b in segments):
+            raise ArgumentError(f"time {x} outside the integrated range")
+    pending = dict(enumerate(at))
+    values = [None] * len(pending)
     y = y0
     steps = nfev = 0
-    pieces = []
     for a, b in segments:
         solver = solver_cls(rhs, float(a), y, float(b), rtol=tol, atol=tol)
         if not np.isfinite(solver.h_abs):
             # a NaN step never falls below scipy's minimum and never ends
             raise EvolutionError(f"initial step on [{a}, {b}] is "
                                  f"{solver.h_abs}: non-finite generator")
-        ts, interpolants = [solver.t], []
         while solver.status == "running":
             message = solver.step()
             if solver.status == "failed":
                 raise EvolutionError(f"integration failed on [{a}, {b}]: "
                                      f"{message}")
-            if dense and len(ts) > 1 and ts[-1] == solver.t:
-                continue  # solve_ivp drops a step of zero length
-            ts.append(solver.t)
-            if dense:
-                interpolants.append(solver.dense_output())
+            steps += 1
+            lo, hi = sorted((solver.t_old, solver.t))
+            reached = [i for i, x in pending.items() if lo <= x <= hi]
+            if reached:
+                dense = solver.dense_output()
+                for i in reached:
+                    values[i] = dense(pending.pop(i))
         y = solver.y
-        steps += len(ts) - 1
         nfev += solver.nfev
-        if dense:
-            pieces.append((min(a, b), max(a, b),
-                           OdeSolution(ts, interpolants)))
-    return y, steps, nfev, (_PiecewiseDense(pieces) if dense else None)
+    return y, steps, nfev, values
+
+
+def _solve(path: GeneratorPath, s: float, t: float, tol: float,
+           method: str = "RK45", at=()):
+    """U' = A(x) U, U(s) = I through ``path.act``, restarted at knots.
+
+    Returns (U(t, s), steps, nfev, [U(x, s) for x in at]).
+    """
+    d = path.dim
+
+    def rhs(x, y):
+        return path.act(x, y.reshape(d, d)).ravel()
+
+    y, steps, nfev, values = _sweep(rhs, _segments(path.knots, s, t),
+                                    np.eye(d, dtype=complex).ravel(), tol,
+                                    method, at)
+    return (y.reshape(d, d), steps, nfev,
+            [v.reshape(d, d) for v in values])
 
 
 def ode_exp(path: GeneratorPath, s: float, t: float,
@@ -231,18 +245,10 @@ def ode_exp(path: GeneratorPath, s: float, t: float,
         raise ArgumentError("need s <= t")
     if tol <= 0:
         raise ArgumentError("tolerance must be positive")
-    d = path.dim
-    ident = np.eye(d, dtype=complex)
     if t == s:
-        return EvolutionResult(ident, s, t, 0, None, f"ode:{method}",
-                               meta={"nfev": 0, "tol": tol})
-
-    def rhs(x, y):
-        return path.act(x, y.reshape(d, d)).ravel()
-
-    y, steps, nfev, _ = _sweep(rhs, _segments(path.knots, s, t), ident.ravel(),
-                               tol, method, dense=False)
-    U = y.reshape(d, d)
+        return EvolutionResult(np.eye(path.dim, dtype=complex), s, t, 0, None,
+                               f"ode:{method}", meta={"nfev": 0, "tol": tol})
+    U, steps, nfev, _ = _solve(path, s, t, tol, method)
     _check_finite(U, "ode integration")
     return EvolutionResult(U, s, t, steps, None, f"ode:{method}",
                            meta={"nfev": nfev, "tol": tol})
@@ -276,48 +282,39 @@ def adjoint_evolution_check(path: GeneratorPath, tol: float = DEFAULT_ODE_TOL,
     return worst
 
 
+#: Gauss-Legendre nodes of the Duhamel integral in ``parameter_derivative``
+_DUHAMEL_NODES = 24
+
+
 def parameter_derivative(family: Callable[[float], GeneratorPath], p: float,
-                         delta: float, tol: float = DEFAULT_ODE_TOL,
-                         quad_nodes: int = 24):
+                         delta: float, tol: float = DEFAULT_ODE_TOL):
     """Derivative of p -> U_p(1, 0), two ways.
 
     Returns (D_int, D_fd): the Duhamel integral
     int_0^1 U_p(1,x) dA/dp (x) U_p(x,0) dx via Gauss-Legendre quadrature
     with centered differences for dA/dp, and the centered difference of the
     full solve.  Both carry O(delta^2) differencing error; the integral
-    adds quadrature error only through the smooth integrand.
+    adds quadrature error only through the smooth integrand.  U(x, 0) is
+    read at the nodes of one forward solve, and U(1, x) = U~(1-x, 0)* at
+    those of one solve of the adjoint-reversed path (the identity
+    ``adjoint_evolution_check`` measures).
     """
     if delta <= 0:
         raise ArgumentError("delta must be positive")
     path = family(p)
-    d = path.dim
     plus, minus = family(p + delta), family(p - delta)
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_DUHAMEL_NODES)
     nodes = 0.5 * (nodes + 1.0)  # map to [0, 1]
     weights = 0.5 * weights
 
-    # forward sweep U(x, 0) and backward sweep V(x) = U(1, x):
-    #   V' = -V A(x), V(1) = I
-    ident = np.eye(d, dtype=complex)
+    *_, fwd = _solve(path, 0.0, 1.0, tol, at=nodes)
+    *_, rev = _solve(path.reversed_adjoint(), 0.0, 1.0, tol, at=1.0 - nodes)
 
-    def rhs_fwd(x, y):
-        return (path(x) @ y.reshape(d, d)).ravel()
-
-    def rhs_bwd(x, y):
-        return (-y.reshape(d, d) @ path(x)).ravel()
-
-    segs = _segments(path.knots, 0.0, 1.0)
-    _, _, _, fwd = _sweep(rhs_fwd, segs, ident.ravel(), tol, "RK45", dense=True)
-    _, _, _, bwd = _sweep(rhs_bwd, [(b, a) for a, b in reversed(segs)],
-                          ident.ravel(), tol, "RK45", dense=True)
-
-    D_int = np.zeros((d, d), dtype=complex)
-    for x, w in zip(nodes, weights):
+    D_int = np.zeros((path.dim, path.dim), dtype=complex)
+    for x, w, Ux0, V in zip(nodes, weights, fwd, rev):
         dA = (plus(x) - minus(x)) / (2.0 * delta)
-        Ux0 = fwd(x).reshape(d, d)
-        U1x = bwd(x).reshape(d, d)
-        D_int += w * (U1x @ dA @ Ux0)
+        D_int += w * (V.conj().T @ dA @ Ux0)
 
     U_plus = ode_exp(plus, 0.0, 1.0, tol).U
     U_minus = ode_exp(minus, 0.0, 1.0, tol).U

@@ -15,6 +15,8 @@ expectation bound Re<pi(X)v, v> <= mu_X computed by ``qei_bound``.
 from __future__ import annotations
 
 import bisect
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,11 +280,11 @@ def energy_bound_constant(c: float) -> float:
 class FieldPath:
     """Time-sampled path of fields on [0, 1] with an interpolation rule.
 
-    Knots are strictly increasing with t_0 = 0 and t_K = 1.  ``linear``
-    interpolates coefficients between knots; ``constant`` holds the field of
-    the knot at or before t.  Subclasses may override ``field_at`` entirely
-    (composite paths built by annulus gluing do); they then override
-    ``phase`` to match.
+    Knots are finite and strictly increasing with t_0 = 0 and t_K = 1, and
+    every mode coefficient is finite.  ``linear`` interpolates coefficients
+    between knots; ``constant`` holds the field of the knot at or before t.
+    Subclasses may override ``field_at`` entirely (composite paths built
+    by annulus gluing do); they then override ``phase`` to match.
     """
 
     def __init__(self, knots, fields, interp: str = "linear"):
@@ -292,6 +294,10 @@ class FieldPath:
             raise ArgumentError("one field per knot required")
         if len(knots) < 1:
             raise ArgumentError("path needs at least one knot")
+        if not all(math.isfinite(t) for t in knots):
+            raise ArgumentError("knots must be finite")
+        if not all(cmath.isfinite(a) for f in fields for a in f.coeffs.values()):
+            raise ArgumentError("mode coefficients must be finite")
         if abs(knots[0]) > 1e-14 or abs(knots[-1] - 1.0) > 1e-14:
             raise ArgumentError("knots must start at 0 and end at 1")
         if any(b <= a for a, b in zip(knots, knots[1:])):

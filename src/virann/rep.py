@@ -71,6 +71,10 @@ TRANSPORT_TRIM = 1e-13
 #: used anywhere (1e-4); anything larger is reported as real overflow.
 TRANSPORT_TAIL_TOL = 1e-7
 
+#: uniform times on [0, 1], besides the path knots, at which the transported
+#: field is sampled into its FieldPath
+_TRANSPORT_SAMPLES = 33
+
 
 def _opnorm(M: np.ndarray) -> float:
     """Largest singular value."""
@@ -324,7 +328,7 @@ def _window_pairing(acoeffs: dict, y: np.ndarray, W: int, c: float) -> complex:
 
 
 def _transport_solve(f0: VectorField, path: FieldPath, tol: float,
-                     c: float | None = None, samples: int = 33,
+                     c: float | None = None,
                      tail_tol: float = TRANSPORT_TAIL_TOL):
     """Shared core: returns (FieldPath of f(t), pairing integral or None).
 
@@ -353,13 +357,12 @@ def _transport_solve(f0: VectorField, path: FieldPath, tol: float,
         out[-1] = _window_pairing(a, y[:-1], Wi, c)
         return out
 
-    yend, _, _, dense = _sweep(rhs, _segments(path.knots, 0.0, 1.0), y0,
-                               tol, "RK45", dense=True)
-
     ts = np.union1d(np.asarray(path.knots, dtype=float),
-                    np.linspace(0.0, 1.0, samples))
+                    np.linspace(0.0, 1.0, _TRANSPORT_SAMPLES))
     ts = ts[np.concatenate([[True], np.diff(ts) > 1e-12])]
     ts[0], ts[-1] = 0.0, 1.0
+    yend, _, _, ys = _sweep(rhs, _segments(path.knots, 0.0, 1.0), y0, tol,
+                            "RK45", at=ts[:-1])
 
     def materialize(y: np.ndarray) -> VectorField:
         coeffs = y[:2 * Wi + 1]
@@ -376,15 +379,14 @@ def _transport_solve(f0: VectorField, path: FieldPath, tol: float,
         return VectorField({int(n): complex(v)
                             for n, v in zip(ks, coeffs) if abs(v) > floor})
 
-    fields = [materialize(dense(t)) for t in ts[:-1]]
-    fields.append(materialize(yend))
+    fields = [materialize(y) for y in (*ys, yend)]
     fpath = FieldPath(list(ts), fields)
     pairing = complex(yend[-1]) if c is not None else None
     return fpath, pairing
 
 
 def transport_field(f0: VectorField, path: FieldPath,
-                    tol: float = DEFAULT_ODE_TOL, samples: int = 33,
+                    tol: float = DEFAULT_ODE_TOL,
                     tail_tol: float = TRANSPORT_TAIL_TOL) -> FieldPath:
     """Transport of a field along a generator path: f' = [X(t), f].
 
@@ -394,8 +396,7 @@ def transport_field(f0: VectorField, path: FieldPath,
     escaping the window raises, rather than silently truncating the
     transport.
     """
-    fpath, _ = _transport_solve(f0, path, tol, c=None, samples=samples,
-                                tail_tol=tail_tol)
+    fpath, _ = _transport_solve(f0, path, tol, c=None, tail_tol=tail_tol)
     return fpath
 
 
@@ -460,11 +461,7 @@ def holomorphy_residual(family: Callable[[complex], "AnnulusElement | FieldPath"
           for d in (eps, -eps, 1j * eps, -1j * eps)]
     D = (Rs[0].U - Rs[1].U + 1j * (Rs[2].U - Rs[3].U)) / (4.0 * eps)
     budget = 2 * max(R.path.maxmode for R in Rs)
-    p = module.protected_dim(budget)
-    if p == 0:
-        raise TruncationError(
-            f"no protected levels at budget {budget} (module N = {module.N})"
-        )
+    _protected_cols(module, budget)
     rng = np.random.default_rng(seed)
     return max(float(np.linalg.norm(D @ random_protected_vector(module, budget,
                                                                 rng)))

@@ -481,34 +481,9 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
     return data
 
 
-# ---------------------------------------------------------------------------
-# graded vectors
-
-
-@dataclass
-class GradedVector:
-    """Coefficients in the orthonormal graded basis of one module."""
-
-    coeffs: np.ndarray
-    module: ModuleData
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.module.dim,):
-            raise ArgumentError(
-                f"expected {self.module.dim} coefficients, got {self.coeffs.shape}"
-            )
-
-    def level_part(self, k: int) -> np.ndarray:
-        return self.coeffs[self.module.level_slice(k)]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
 def sobolev_norm(v, n: float, module: ModuleData) -> float:
     """|| (1 + L_0)^n v ||, i.e. sqrt(sum_k (1 + h + k)^{2n} ||v_k||^2)."""
-    coeffs = v.coeffs if isinstance(v, GradedVector) else np.asarray(v)
+    coeffs = np.asarray(v)
     if coeffs.shape != (module.dim,):
         raise ArgumentError("vector does not match module dimension")
     factors = (1.0 + module.weights()) ** float(n)

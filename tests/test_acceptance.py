@@ -24,6 +24,7 @@ from virann.field import (FieldPath, VectorField, mode_field, pi_field,
 from virann.rep import (cocycle_invariance_residual, dagger_residual,
                         holomorphy_residual, mobius_overlap, represent,
                         segal_residual, semigroup_residual)
+from virann.verify import _shallow_path
 from virann.virmod import (ModuleParams, build_module, gram_matrix,
                            random_protected_vector, sobolev_norm)
 
@@ -59,13 +60,6 @@ def mod14():
 def report(k: int, ok: bool, detail: str) -> None:
     print(f"criterion {k:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
-
-
-def shallow_path(rng, maxmode=2, knots=3, depth=0.10, wiggle=0.2):
-    p = random_inward_path(maxmode, rng, knots=knots, amplitude=1.0,
-                           wiggle=wiggle)
-    s = depth / max(abs(f.coeff(0)) for f in p.fields)
-    return FieldPath(p.knots, [s * f for f in p.fields])
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +219,8 @@ def test_criterion_09_semigroup_dagger(mod10, mod12):
     rng = np.random.default_rng(109)
     pairs = []
     for _ in range(20):
-        E1 = element_from_path(shallow_path(rng), G=256, K=16)
-        E2 = element_from_path(shallow_path(rng), G=256, K=16,
+        E1 = element_from_path(_shallow_path(rng), G=256, K=16)
+        E2 = element_from_path(_shallow_path(rng), G=256, K=16,
                                start_curve=E1.framing.in_curve())
         pairs.append((E1, E2))
     reps12 = [(represent(E1, mod12, tol=1e-9),
@@ -305,7 +299,7 @@ def test_criterion_11_segal_relations(mod12, mod14):
     rng = np.random.default_rng(111)
     worst = 0.0
     for _ in range(5):
-        E = element_from_path(shallow_path(rng, depth=0.01), G=G, K=16)
+        E = element_from_path(_shallow_path(rng, depth=0.01), G=G, K=16)
         R = represent(E, mod14, tol=1e-9)
         worst = max(worst, max(
             segal_residual(R, mode_field(n), mod14, tol=1e-9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from virann.annulus import (
     AnnulusElement,
@@ -12,6 +13,8 @@ from virann.annulus import (
     FramingHomotopy,
     _smoothstep,
     _smoothstep_inverse,
+    _spectral_dtheta,
+    _spectral_filter,
     bigon_factor,
     compose,
     dagger,
@@ -24,9 +27,11 @@ from virann.annulus import (
     validate_framing,
     witt_compatibility_residual,
 )
-from virann.errors import ArgumentError, GridError, NotInwardError, TruncationError
+from virann.errors import (ArgumentError, EvolutionError, GridError,
+                           NotInwardError, TruncationError)
 from virann.field import (FieldPath, VectorField, adjoint_field, mode_field,
-                          random_inward_path)
+                          to_theta)
+from virann.verify import _shallow_path
 
 G = 256
 K = 64
@@ -46,15 +51,6 @@ def path_gap(p1, p2, times=np.linspace(0.0, 1.0, 17)) -> float:
         for n in set(a.coeffs) | set(b.coeffs):
             worst = max(worst, abs(a.coeff(n) - b.coeff(n)))
     return worst
-
-
-def shallow_inward_path(rng, maxmode=3, knots=3, depth=0.10, wiggle=0.2):
-    # rescale so the time-integral of the field (flow depth) is `depth`;
-    # the raw amplitude knob measures oscillation before the inward shift
-    p = random_inward_path(maxmode, rng, knots=knots, amplitude=1.0,
-                           wiggle=wiggle)
-    s = depth / max(abs(f.coeff(0)) for f in p.fields)
-    return FieldPath(p.knots, [s * f for f in p.fields])
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +349,7 @@ class TestDagger:
 
 class TestCompositePhase:
     def test_phase_is_the_integral_of_a0(self, rng, a0_integral):
-        first = shallow_inward_path(rng, knots=4)
+        first = _shallow_path(rng, maxmode=3, knots=4)
         second = FieldPath.constant_path(VectorField({0: np.log(0.6), 1: 0.1}))
         p = CompositeFieldPath(first, second, width=0.1)
         for t in (0.03, 0.2, 0.5, 0.52, 0.77, 1.0):
@@ -526,20 +522,48 @@ class TestElementFromPath:
         # kink-free path: extraction error is second order in the time step
         # (interior path knots would add a first-order kink-localized term)
         rng = np.random.default_rng(7)
-        path = shallow_inward_path(rng, knots=2)
+        path = _shallow_path(rng, maxmode=3, knots=2)
         E = element_from_path(path, G=256, K=64)
         back = framing_path(E.framing, tail_tol=1e-6)
         assert path_gap(path, back) < 1e-6
 
     def test_chained_flows_compose_exactly(self):
         rng = np.random.default_rng(11)
-        Ea = element_from_path(shallow_inward_path(rng), G=128, K=32)
-        Eb = element_from_path(shallow_inward_path(rng), G=128, K=32,
+        Ea = element_from_path(_shallow_path(rng, maxmode=3), G=128, K=32)
+        Eb = element_from_path(_shallow_path(rng, maxmode=3), G=128, K=32,
                                start_curve=Ea.framing.in_curve())
         E = compose(Ea, Eb)
         # junction is shared exactly, so the gluing scale is exactly 1
         assert np.abs(E.framing.grid[0] - Ea.framing.grid[0]).max() == 0.0
         assert isinstance(E.path, CompositeFieldPath)
+
+    def test_framing_equals_per_segment_solve_ivp(self):
+        # reference: scipy's solve_ivp on each storage segment, with the
+        # same spectral filter between segments
+        rng = np.random.default_rng(5)
+        for maxmode, knots in ((2, 3), (3, 4)):
+            path = _shallow_path(rng, maxmode=maxmode, knots=knots)
+            E = element_from_path(path, G=128, K=16)
+
+            def rhs(t, y):
+                return to_theta(path.field_at(1.0 - t), 128) * _spectral_dtheta(y)
+
+            ks = E.framing.knots
+            rows = [_spectral_filter(np.exp(2j * np.pi * np.arange(128) / 128))]
+            for a, b in zip(ks[:-1], ks[1:]):
+                sol = solve_ivp(rhs, (a, b), rows[-1], method="RK45",
+                                rtol=1e-12, atol=1e-12)
+                rows.append(_spectral_filter(sol.y[:, -1]))
+            assert np.array_equal(E.framing.grid, np.array(rows))
+
+    def test_failed_circle_flow_raises_evolution_error(self):
+        class NaNPath(FieldPath):
+            def field_at(self, t):
+                return VectorField({1: complex(np.nan, 0.0)})
+
+        path = NaNPath([0.0, 1.0], [VectorField({0: -0.1})] * 2)
+        with pytest.raises(EvolutionError):
+            element_from_path(path, G=64, K=4)
 
     def test_outward_path_rejected(self):
         path = FieldPath.constant_path(VectorField({0: +0.3}))
@@ -550,7 +574,7 @@ class TestElementFromPath:
         # depth ~1.4 with wiggles: retained negative modes outgrow the
         # clipping budget and the construction must refuse
         rng = np.random.default_rng(3)
-        base = shallow_inward_path(rng)
+        base = _shallow_path(rng, maxmode=3)
         deep = FieldPath(base.knots, [14.0 * f for f in base.fields])
         with pytest.raises((GridError, NotInwardError)):
             element_from_path(deep, G=128, K=64)

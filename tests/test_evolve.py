@@ -140,23 +140,53 @@ def test_sweep_steps_like_solve_ivp(noncommuting_path):
     def rhs(x, y):
         return (gp(x) @ y.reshape(d, d)).ravel()
 
-    segs = _segments(gp.knots, 0.0, 1.0)
-    for dense in (False, True):
-        y, steps, nfev, sol = _sweep(rhs, segs, y0, 1e-8, "RK45", dense)
+    forward = _segments(gp.knots, 0.0, 1.0)
+    for segs in (forward, [(b, a) for a, b in reversed(forward)]):
+        interior = [x for a, b in segs for x in np.linspace(a, b, 5)[1:-1]]
+        y, steps, nfev, ys = _sweep(rhs, segs, y0, 1e-8, "RK45", at=interior)
         want = y0
         want_steps = want_nfev = 0
+        refs = []
         for a, b in segs:
             ref = solve_ivp(rhs, (a, b), want, method="RK45", rtol=1e-8,
-                            atol=1e-8, dense_output=dense)
+                            atol=1e-8, dense_output=True)
+            refs += [ref.sol(x) for x in np.linspace(a, b, 5)[1:-1]]
             want = ref.y[:, -1]
             want_steps += ref.t.size - 1
             want_nfev += ref.nfev
-            if dense:
-                for x in np.linspace(a, b, 5)[1:-1]:  # knots pick a side
-                    assert np.array_equal(sol(x), ref.sol(x))
+        assert len(ys) == len(refs) == 3 * len(segs)
+        assert all(np.array_equal(got, ref) for got, ref in zip(ys, refs))
         assert np.array_equal(y, want)
         assert (steps, nfev) == (want_steps, want_nfev)
-        assert (sol is None) == (not dense)
+
+
+def test_sweep_reads_each_time_once_in_any_order(noncommuting_path):
+    gp, d = noncommuting_path, noncommuting_path.dim
+    y0 = np.eye(d, dtype=complex).ravel()
+
+    def rhs(x, y):
+        return (gp(x) @ y.reshape(d, d)).ravel()
+
+    segs = _segments(gp.knots, 0.0, 1.0)
+    times = [0.9, 0.0, 0.25, 0.9, 1.0]
+    y, _, _, ys = _sweep(rhs, segs, y0, 1e-8, "RK45", at=times)
+    _, _, _, sorted_ys = _sweep(rhs, segs, y0, 1e-8, "RK45",
+                                at=sorted(set(times)))
+    by_time = dict(zip(sorted(set(times)), sorted_ys))
+    assert all(np.array_equal(v, by_time[t]) for t, v in zip(times, ys))
+    assert np.array_equal(ys[1], y0)
+    # the knot 0.25 is read from the last step of the segment ending there
+    assert segs[0] == (0.0, 0.25)
+    _, _, _, first = _sweep(rhs, segs[:1], y0, 1e-8, "RK45", at=[0.25])
+    assert np.array_equal(ys[2], first[0])
+    assert np.allclose(ys[-1], y, atol=1e-14, rtol=0)
+
+
+@pytest.mark.parametrize("x", [-1e-9, 1.0 + 1e-9, 2.0, np.nan])
+def test_sweep_rejects_times_outside_its_range(x):
+    with pytest.raises(ArgumentError, match="outside the integrated range"):
+        _sweep(lambda t, y: -y, [(0.0, 0.5), (0.5, 1.0)], np.ones(2), 1e-8,
+               "RK45", at=[0.5, x])
 
 
 @pytest.mark.parametrize("method", ["RK23", "RK45", "DOP853"])

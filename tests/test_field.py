@@ -261,6 +261,12 @@ def test_path_validation():
         FieldPath([0.0, 0.5, 0.5, 1.0], [zero_field()] * 4)
     with pytest.raises(ArgumentError):
         FieldPath([0.0, 1.0], [zero_field(), zero_field()], interp="cubic")
+    # every comparison with NaN is false, so the ordering checks pass it
+    for knots in ([0.0, np.nan, 1.0], [0.0, np.inf, 1.0]):
+        with pytest.raises(ArgumentError, match="must be finite"):
+            FieldPath(knots, [zero_field()] * 3)
+    with pytest.raises(ArgumentError, match="must be finite"):
+        FieldPath([0.0, 1.0], [zero_field(), mode_field(2, complex(0, np.nan))])
 
 
 def test_path_linear_interpolation():

@@ -12,12 +12,13 @@ from virann.annulus import (FramingHomotopy, compose, dagger,
                             standard_element)
 from virann.errors import ArgumentError, NotInwardError, TruncationError
 from virann.evolve import GeneratorPath, ode_exp
-from virann.field import FieldPath, VectorField, pi_field, random_inward_path
+from virann.field import FieldPath, VectorField, pi_field
 from virann.rep import (RepresentedAnnulus, _interaction_generator,
                         cocycle_invariance_residual, contraction_check,
                         dagger_residual, holomorphy_residual,
                         lowering_norms, mobius_overlap, represent,
                         segal_residual, semigroup_residual, transport_field)
+from virann.verify import _shallow_path
 from virann.virmod import ModuleParams, VirasoroOracle, build_module
 
 G = 128
@@ -34,18 +35,9 @@ def mod12():
     return build_module(ModuleParams(2, 0.5, 12))
 
 
-def shallow_inward_path(rng, maxmode=3, knots=3, depth=0.10, wiggle=0.2):
-    # rescale a random inward path so its flow depth (time integral of the
-    # constant mode) equals `depth`
-    p = random_inward_path(maxmode, rng, knots=knots, amplitude=1.0,
-                           wiggle=wiggle)
-    s = depth / max(abs(f.coeff(0)) for f in p.fields)
-    return FieldPath(p.knots, [s * f for f in p.fields])
-
-
-def flowed_pair(rng, **kw):
-    Ea = element_from_path(shallow_inward_path(rng, **kw), G=G, K=32)
-    Eb = element_from_path(shallow_inward_path(rng, **kw), G=G, K=32,
+def flowed_pair(rng):
+    Ea = element_from_path(_shallow_path(rng, maxmode=3), G=G, K=32)
+    Eb = element_from_path(_shallow_path(rng, maxmode=3), G=G, K=32,
                            start_curve=Ea.framing.in_curve())
     return Ea, Eb
 
@@ -148,7 +140,7 @@ class TestInteractionPicture:
 
     def test_flowed_element_matches_full_generator_solve(self, mod12):
         rng = np.random.default_rng(601)
-        E = element_from_path(shallow_inward_path(rng, maxmode=2,
+        E = element_from_path(_shallow_path(rng, maxmode=2,
                                                   depth=0.05), G=256, K=16)
         R = represent(E, mod12)
         assert R.result.method == "interaction:ode:RK45"
@@ -158,7 +150,7 @@ class TestInteractionPicture:
 
     def test_block_action_takes_the_dense_solver_steps(self, mod12):
         rng = np.random.default_rng(601)
-        E = element_from_path(shallow_inward_path(rng, maxmode=2,
+        E = element_from_path(_shallow_path(rng, maxmode=2,
                                                   depth=0.05), G=256, K=16)
         gp = _interaction_generator(E.generator_path(), mod12)
         dense = GeneratorPath(gp.sampler, gp.dim, gp.knots)
@@ -308,7 +300,7 @@ class TestSegal:
 
     def test_flowed_two_mode_element(self, mod12):
         rng = np.random.default_rng(42)
-        E = element_from_path(shallow_inward_path(rng, maxmode=2, depth=0.02),
+        E = element_from_path(_shallow_path(rng, maxmode=2, depth=0.02),
                               G=G, K=32)
         R = represent(E, mod12)
         for n in (-1, 0, 1):
@@ -330,7 +322,7 @@ class TestSegal:
 
     def test_fixed_block_budget_cuts_leakage(self, mod12):
         rng = np.random.default_rng(5)
-        E = element_from_path(shallow_inward_path(rng, maxmode=2, depth=0.03),
+        E = element_from_path(_shallow_path(rng, maxmode=2, depth=0.03),
                               G=G, K=32)
         R = represent(E, mod12)
         f0 = VectorField({1: 1.0})

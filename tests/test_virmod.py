@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from virann.errors import ArgumentError, NonUnitaryError, TruncationError
 from virann.virmod import (
-    GradedVector,
     ModuleParams,
     VirasoroOracle,
     build_module,
@@ -317,13 +316,6 @@ def test_sobolev_norm_absolutely_homogeneous(re, im):
     a = complex(re, im)
     assert abs(sobolev_norm(a * v, 1.5, mod)
                - abs(a) * sobolev_norm(v, 1.5, mod)) < 1e-9
-
-
-def test_graded_vector_shape_checked(mod12):
-    with pytest.raises(ArgumentError):
-        GradedVector(np.zeros(3), mod12)
-    gv = GradedVector(np.zeros(mod12.dim), mod12)
-    assert gv.norm() == 0.0
 
 
 def test_random_protected_vector_support(mod12, rng):
