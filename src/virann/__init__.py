@@ -55,7 +55,6 @@ from .field import (
     energy_bound_constant,
     field_norm,
     inward_margin,
-    is_inward,
     mode_field,
     pi_field,
     qei_bound,
@@ -63,7 +62,6 @@ from .field import (
     random_inward_path,
     to_theta,
     witt_bracket,
-    zero_field,
 )
 from .rep import (
     RepresentedAnnulus,
@@ -90,7 +88,6 @@ from .virmod import (
     gram_matrix,
     module_from_dict,
     module_to_dict,
-    normal_order_reduce,
     partitions_of,
     random_protected_vector,
     sobolev_norm,

@@ -243,7 +243,7 @@ class AnnulusElement:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AnnulusElement":
-        path = FieldPath.from_dict(doc["path"]) if "path" in doc else None
+        path = _path_from_dict(doc["path"]) if "path" in doc else None
         return cls(framing=Framing.from_dict(doc),
                    z=complex(doc["z"][0], doc["z"][1]), path=path)
 
@@ -450,12 +450,17 @@ class CompositeFieldPath(FieldPath):
                                   self.first.reversed_adjoint(), self.width)
 
     def to_dict(self) -> dict:
-        ts = np.linspace(0.0, 1.0, 129)
-        return {
-            "knots": [float(t) for t in ts],
-            "fields": [self.field_at(float(t)).to_dict() for t in ts],
-            "interp": "linear",
-        }
+        return {"interp": "composite", "first": self.first.to_dict(),
+                "second": self.second.to_dict(), "width": self.width}
+
+
+def _path_from_dict(doc: dict) -> FieldPath:
+    # composites are stored as their factors, rebuilt recursively
+    if doc.get("interp") == "composite":
+        return CompositeFieldPath(_path_from_dict(doc["first"]),
+                                  _path_from_dict(doc["second"]),
+                                  doc["width"])
+    return FieldPath.from_dict(doc)
 
 
 def compose(E1: AnnulusElement, E2: AnnulusElement, tol: float = 1e-8,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,10 +95,6 @@ def mode_field(n: int, a: complex = 1.0) -> VectorField:
     return VectorField({n: a})
 
 
-def zero_field() -> VectorField:
-    return VectorField({})
-
-
 def adjoint_field(X: VectorField) -> VectorField:
     """Coefficient map a_n -> conj(a_{-n}); realizes pi(X)* = pi(adjoint)."""
     return VectorField({-n: np.conj(a) for n, a in X.coeffs.items()})
@@ -175,11 +170,6 @@ def inward_margin(X: VectorField, grid: int = DEFAULT_GRID) -> float:
     if grid <= 2 * X.maxmode:
         raise GridError(f"grid {grid} cannot resolve modes up to {X.maxmode}")
     return float(_mode_samples(X, grid).real.max(initial=0.0))
-
-
-def is_inward(X: VectorField, grid: int = DEFAULT_GRID,
-              tol: float = DEFAULT_INWARD_TOL) -> bool:
-    return inward_margin(X, grid) <= tol
 
 
 def qei_bound(X: VectorField, c: float, grid: int = DEFAULT_GRID,

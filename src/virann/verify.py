@@ -8,6 +8,15 @@ BLAS thread, so the rows are a function of (config, seed).  Only the
 seconds and cpu_s columns and the report's environment block vary between
 runs.
 
+The measurement functions below (``gram_float_gap``, ``bracket_residual``,
+``qei_excess``, ``energy_margin``, ``product_limit_gap``, ``growth_margin``,
+``derivative_closed_form_gap``, ``derivative_agreement_gaps``,
+``bigon_gap``, ...) and the input builders (``wiggle_homotopy``,
+``constant_homotopy``, ``reparametrization_homotopy``,
+``bigon_perturbation``) are the single definition of each criterion they
+measure.  The suites call them with the CLI's ensemble sizes; the
+acceptance tests call them with their own seeds, sizes and bounds.
+
 Suites degrade gracefully at small cutoffs: rows whose construction needs
 more levels than the module has are omitted rather than faked.  Two heavy
 cross-validations (expm product limit, Duhamel derivative) run on an
@@ -24,6 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy
+from scipy.linalg import expm
 
 from . import _blas
 from .annulus import (FramingHomotopy, bigon_factor, compose,
@@ -41,8 +51,19 @@ from .rep import (cocycle_invariance_residual, dagger_residual,
 from .virmod import (ModuleData, ModuleParams, VirasoroOracle, build_module,
                      gram_matrix, random_protected_vector, sobolev_norm)
 
+
+def _theta(G: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(G) / G
+
+
 G = 256
-THETA = 2.0 * np.pi * np.arange(G) / G
+THETA = _theta(G)
+
+#: the overlapping arcs I1, I2 of the bigon factorization
+BIGON_ARCS = ((-0.4, np.pi + 0.4), (np.pi - 0.4, 2.0 * np.pi + 0.4))
+
+#: the bracket is checked for |m|, |n| up to this many modes
+BRACKET_MODES = 4
 
 
 @dataclass
@@ -98,48 +119,247 @@ def _small_twin(module: ModuleData, N: int = 6, lmax: int = 2) -> ModuleData:
 
 
 # ---------------------------------------------------------------------------
+# measurements: one function per criterion, inputs explicit
+
+
+def gram_float_gap(params: ModuleParams, exact: dict) -> float:
+    """Largest entry gap of the float inner-product matrices at ``params``
+    from the exact ones, given as {level: exact matrix}."""
+    return max(np.abs(gram_matrix(params, k) - g.astype(float)).max()
+               for k, g in exact.items())
+
+
+def level2_closed_form_gap(c: Fraction, h: Fraction, g2: np.ndarray) -> float:
+    """0 if the exact level-2 matrix is [[4h+c/2, 6h], [6h, 4h(2h+1)]],
+    else 1."""
+    want = np.array([[4 * h + c / 2, 6 * h], [6 * h, 4 * h * (2 * h + 1)]],
+                    dtype=object)
+    return 0.0 if np.array_equal(g2, want) else 1.0
+
+
+def bracket_residual(module: ModuleData) -> float:
+    """Largest entry of [L_m, L_n] - (m-n)L_{m+n} - central term over
+    |m|, |n| <= BRACKET_MODES, on the columns the cutoff cannot reach."""
+    c = float(module.params.c)
+    off, dim = module.level_offsets, module.dim
+    mrange = min(BRACKET_MODES, module.N)
+    worst = 0.0
+    for m in range(-mrange, mrange + 1):
+        for n in range(-mrange, mrange + 1):
+            if abs(m) + abs(n) > module.N:
+                continue
+            cols = off[module.N - abs(m) - abs(n) + 1]
+            lm, ln = module.lmat(m), module.lmat(n)
+            lhs = lm @ ln[:, :cols] - ln @ lm[:, :cols]
+            rhs = (m - n) * module.lmat(m + n)[:, :cols]
+            if m + n == 0:
+                rhs = rhs + (c / 12.0) * (m**3 - m) * np.eye(dim)[:, :cols]
+            worst = max(worst, np.abs(lhs - rhs).max())
+    return worst
+
+
+def _random_fields(module: ModuleData, rng: np.random.Generator,
+                   fields: int):
+    # mode-4 inward fields, each amplitude drawn before its field; fields
+    # beyond the module's generators are drawn and skipped
+    for _ in range(fields):
+        X = random_inward_field(4, rng, amplitude=float(rng.uniform(0.05, 2.0)))
+        if X.maxmode <= module.lmax:
+            yield X
+
+
+def qei_excess(module: ModuleData, rng: np.random.Generator, fields: int,
+               vectors: int) -> float:
+    """Largest Re<pi(X)v, v> - mu(X) over ``fields`` random inward fields
+    and ``vectors`` protected vectors each (-inf if no field fits)."""
+    c = float(module.params.c)
+    budget = min(4, module.N)
+    worst = -np.inf
+    for X in _random_fields(module, rng, fields):
+        mu = qei_bound(X, c)
+        A = pi_field(X, module)
+        for _ in range(vectors):
+            v = random_protected_vector(module, budget, rng)
+            worst = max(worst, float(np.vdot(v, A @ v).real - mu))
+    return worst
+
+
+def qei_spot_gap(c: float) -> float:
+    """Relative gap of mu for the 1+cos squeeze profile from c*pi/48."""
+    expect = c * np.pi / 48.0
+    X = VectorField({0: -1.0, 1: -0.5, -1: -0.5})
+    return abs(qei_bound(X, c) - expect) / expect
+
+
+def energy_margin(module: ModuleData, rng: np.random.Generator,
+                  fields: int) -> float:
+    """Largest ||pi(X)v||_n - C ||X||_{n+3/2} ||v||_{n+1} over ``fields``
+    random inward fields, one protected vector per n in {0, 1, 2}
+    (-inf if no field fits)."""
+    c = float(module.params.c)
+    C = energy_bound_constant(c)
+    budget = min(4, module.N)
+    worst = -np.inf
+    for X in _random_fields(module, rng, fields):
+        A = pi_field(X, module)
+        for n in (0, 1, 2):
+            v = random_protected_vector(module, budget, rng)
+            lhs = sobolev_norm(A @ v, n, module)
+            rhs = C * field_norm(X, n + 1.5) * sobolev_norm(v, n + 1, module)
+            worst = max(worst, lhs - rhs)
+    return worst
+
+
+def product_limit_gap(module: ModuleData, rng: np.random.Generator,
+                      paths: int) -> float:
+    """Largest operator-norm gap between the adaptive solve (tol 1e-10) and
+    the 4096-step exponential product over ``paths`` random paths; their
+    amplitude keeps the product's first-order error under 1e-7."""
+    worst = 0.0
+    for _ in range(paths):
+        p = random_inward_path(2, rng, knots=5, amplitude=2.5e-5, wiggle=0.5)
+        gp = GeneratorPath.from_field_path(p, module)
+        u1 = ode_exp(gp, 0.0, 1.0, 1e-10).U
+        u2 = piecewise_exp(gp, 0.0, 1.0, 4096).U
+        worst = max(worst, np.linalg.norm(u1 - u2, 2))
+    return worst
+
+
+def growth_margin(module: ModuleData, path: FieldPath, vecs: np.ndarray,
+                  tol: float) -> float:
+    """Worst ||U(t,s)v|| - e^{omega (t-s)} ||v|| on (s,t) = (0,1), (0.1,0.6),
+    with omega = max_t mu(X(t)) over 33 times."""
+    c = float(module.params.c)
+    gp = GeneratorPath.from_field_path(path, module)
+    omega = max(qei_bound(path.field_at(t), c)
+                for t in np.linspace(0.0, 1.0, 33))
+    return growth_bound_check(gp, omega, ((0.0, 1.0), (0.1, 0.6)), vecs,
+                              tol)["margin"]
+
+
+def derivative_closed_form_gap(module: ModuleData, tol: float) -> float:
+    """Largest entry gap of the Duhamel integral and the centered difference
+    (delta 1e-4) from the closed-form derivative of r -> r^{L_0} at 0.5."""
+    L0 = module.lmat(0)
+
+    def fam(r):
+        return GeneratorPath.constant(np.log(r) * L0)
+
+    D_int, D_fd = parameter_derivative(fam, 0.5, 1e-4, tol)
+    closed = expm(np.log(0.5) * L0) @ L0 / 0.5
+    return max(np.abs(D_int - closed).max(), np.abs(D_fd - closed).max())
+
+
+def derivative_agreement_gaps(module: ModuleData, tol: float) -> list[float]:
+    """Operator-norm gaps between the Duhamel integral and the centered
+    difference at delta = 2e-3 and 1e-3, for a time-dependent two-mode
+    family with a noncommuting bump."""
+    base = pi_field(VectorField({0: -0.3}), module)
+    bump = pi_field(VectorField({2: 0.2, -2: 0.1}), module)
+
+    def fam(p):
+        def sampler(t):
+            return base + p * (1.0 + 0.3 * np.sin(np.pi * t)) * bump
+        return GeneratorPath(sampler, module.dim)
+
+    gaps = []
+    for delta in (2e-3, 1e-3):
+        D_int, D_fd = parameter_derivative(fam, 0.1, delta, tol)
+        gaps.append(np.linalg.norm(D_int - D_fd, 2))
+    return gaps
+
+
+def wiggle_homotopy(mode: int, eps: float, q: float, phase: float = 0.0,
+                    Kt: int = 48, Ku: int = 12,
+                    G: int = 128) -> FramingHomotopy:
+    """Deform the scaling framing q^t e^{i theta} by
+    exp(u sin^2(pi t) eps cos(mode theta + phase)), u in [0, 1]."""
+    theta = _theta(G)
+    t = np.linspace(0.0, 1.0, Kt + 1)
+    u = np.linspace(0.0, 1.0, Ku + 1)
+    s = np.sin(np.pi * t) ** 2
+    w = eps * np.cos(mode * theta + phase)
+    base = np.exp(t[:, None] * np.log(q) + 1j * theta[None, :])
+    grid = base[None, :, :] * np.exp(
+        u[:, None, None] * s[None, :, None] * w[None, None, :])
+    return FramingHomotopy(grid, t, u)
+
+
+def constant_homotopy() -> FramingHomotopy:
+    """Five equal slices of the q = 0.5 scaling framing."""
+    t = np.linspace(0.0, 1.0, 49)
+    sl = np.exp(t[:, None] * np.log(0.5) + 1j * _theta(128)[None, :])
+    grid = np.repeat(sl[None, :, :], 5, axis=0)
+    return FramingHomotopy(grid, t, np.linspace(0.0, 1.0, 5))
+
+
+def reparametrization_homotopy() -> FramingHomotopy:
+    """The q = 0.8 scaling framing under an endpoint-flat time warp.
+
+    Both ends frame the same annulus, so the central factor is 1 and the
+    operators must agree; the warp keeps the boundary rows pinned.
+    """
+    t = np.linspace(0.0, 1.0, 193)
+    u = np.linspace(0.0, 1.0, 9)
+    phi = t - 0.15 * np.sin(np.pi * t) ** 2
+    expo = (1 - u[:, None]) * t[None, :] + u[:, None] * phi[None, :]
+    grid = np.exp(expo[:, :, None] * np.log(0.8)
+                  + 1j * _theta(128)[None, None, :])
+    return FramingHomotopy(grid, t, u)
+
+
+def bigon_perturbation(rng: np.random.Generator) -> np.ndarray:
+    """Real modes 1..3 of amplitude 0.02 on the G-point grid."""
+    co = 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    pert = np.zeros(G)
+    for k, a in enumerate(co, start=1):
+        pert += (a * np.exp(1j * k * THETA)).real
+    return pert
+
+
+def bigon_gap(pert=0.0) -> float:
+    """Grid-sup gap between the boundary curves of the glued bigon factors
+    and g_in = 0.25 e^{i theta} e^{pert}, g_out = e^{i theta} e^{-pert}."""
+    g_in = 0.25 * np.exp(1j * THETA) * np.exp(pert)
+    g_out = np.exp(1j * THETA) * np.exp(-pert)
+    B = bigon_factor(g_in, g_out, *BIGON_ARCS)
+    comp = compose(B.outer, B.inner)
+    return max(np.abs(comp.framing.out_curve() - g_out).max(),
+               np.abs(comp.framing.in_curve() - g_in).max())
+
+
+# ---------------------------------------------------------------------------
 # algebra-side suites
 
 
 def suite_gram(module, tol, rng):
     rows = []
-    exact = _exact_params(module)
+    exact_params = _exact_params(module)
     levels = range(1, min(module.N, 4) + 1)
 
     t0 = _clock()
-    worst = 0.0
-    for k in levels:
-        ge = gram_matrix(exact, k)
-        gf = gram_matrix(module.params, k)
-        worst = max(worst, np.abs(gf - ge.astype(float)).max())
-    if list(levels):
+    exact = {k: gram_matrix(exact_params, k) for k in levels}
+    if exact:
         rows.append(_row(
             "gram-float-vs-rational",
             "float inner-product matrices against the exact rational "
-            f"pipeline, levels 1..{levels[-1]}", worst, 1e-12, t0))
+            f"pipeline, levels 1..{levels[-1]}",
+            gram_float_gap(module.params, exact), 1e-12, t0))
 
-    t0 = _clock()
-    mismatch = 0.0
-    for k in levels:
-        ge = gram_matrix(exact, k)
-        if np.abs(ge - ge.T).max() != 0:
-            mismatch = 1.0
-    if list(levels):
+        t0 = _clock()
+        mismatch = 0.0 if all(np.array_equal(g, g.T)
+                              for g in exact.values()) else 1.0
         rows.append(_row(
             "gram-rational-symmetric",
             "exact matrices are symmetric as rationals", mismatch, 0.0, t0))
 
     if module.N >= 2:
         t0 = _clock()
-        c, h = exact.c, exact.h
-        want = np.array([[4 * h + c / 2, 6 * h], [6 * h, 4 * h * (2 * h + 1)]],
-                        dtype=object)
-        g2 = gram_matrix(exact, 2)
-        gap = 0.0 if np.array_equal(g2, want) else 1.0
         rows.append(_row(
             "gram-level2-closed-form",
             "level-2 matrix equals [[4h+c/2, 6h], [6h, 4h(2h+1)]]",
-            gap, 0.0, t0))
+            level2_closed_form_gap(exact_params.c, exact_params.h, exact[2]),
+            0.0, t0))
 
     t0 = _clock()
     neg = 0.0
@@ -162,43 +382,17 @@ def suite_gram(module, tol, rng):
 
 def suite_bracket(module, tol, rng):
     t0 = _clock()
-    c = float(module.params.c)
-    off, dim = module.level_offsets, module.dim
-    mrange = min(4, module.N)
-    worst = 0.0
-    for m in range(-mrange, mrange + 1):
-        for n in range(-mrange, mrange + 1):
-            if abs(m) + abs(n) > module.N:
-                continue
-            cols = off[module.N - abs(m) - abs(n) + 1]
-            lm, ln = module.lmat(m), module.lmat(n)
-            lhs = lm @ ln[:, :cols] - ln @ lm[:, :cols]
-            rhs = (m - n) * module.lmat(m + n)[:, :cols]
-            if m + n == 0:
-                rhs = rhs + (c / 12.0) * (m**3 - m) * np.eye(dim)[:, :cols]
-            worst = max(worst, np.abs(lhs - rhs).max())
     return [_row(
         "bracket-protected-columns",
         "[L_m, L_n] = (m-n)L_{m+n} + central term on columns the cutoff "
-        f"cannot reach, |m|,|n| <= {mrange}", worst, 1e-10, t0)]
+        f"cannot reach, |m|,|n| <= {min(BRACKET_MODES, module.N)}",
+        bracket_residual(module), 1e-10, t0)]
 
 
 def suite_qei(module, tol, rng):
     rows = []
-    c = float(module.params.c)
-    budget = min(4, module.N)
-
     t0 = _clock()
-    worst = -np.inf
-    for _ in range(40):
-        X = random_inward_field(4, rng, amplitude=float(rng.uniform(0.05, 2.0)))
-        mu = qei_bound(X, c)
-        A = pi_field(X, module) if X.maxmode <= module.lmax else None
-        if A is None:
-            continue
-        for _ in range(8):
-            v = random_protected_vector(module, budget, rng)
-            worst = max(worst, float(np.vdot(v, A @ v).real - mu))
+    worst = qei_excess(module, rng, fields=40, vectors=8)
     if np.isfinite(worst):
         rows.append(_row(
             "qei-numerical-range",
@@ -206,32 +400,16 @@ def suite_qei(module, tol, rng):
             "vectors", worst, 1e-8, t0))
 
     t0 = _clock()
-    X = VectorField({0: -1.0, 1: -0.5, -1: -0.5})
-    expect = c * np.pi / 48.0
-    gap = abs(qei_bound(X, c) - expect) / expect
     rows.append(_row(
         "qei-analytic-spot",
         "quadrature mu for the 1+cos squeeze profile vs c*pi/48",
-        gap, 1e-6, t0))
+        qei_spot_gap(float(module.params.c)), 1e-6, t0))
     return rows
 
 
 def suite_energy(module, tol, rng):
     t0 = _clock()
-    c = float(module.params.c)
-    C = energy_bound_constant(c)
-    budget = min(4, module.N)
-    worst = -np.inf
-    for _ in range(40):
-        X = random_inward_field(4, rng, amplitude=float(rng.uniform(0.05, 2.0)))
-        if X.maxmode > module.lmax:
-            continue
-        A = pi_field(X, module)
-        for n in (0, 1, 2):
-            v = random_protected_vector(module, budget, rng)
-            lhs = sobolev_norm(A @ v, n, module)
-            rhs = C * field_norm(X, n + 1.5) * sobolev_norm(v, n + 1, module)
-            worst = max(worst, lhs - rhs)
+    worst = energy_margin(module, rng, fields=40)
     if not np.isfinite(worst):
         return []
     return [_row(
@@ -283,18 +461,12 @@ def suite_evolution(module, tol, rng):
     # module; the crossing identity does not depend on the cutoff
     t0 = _clock()
     small = _small_twin(module)
-    worst = 0.0
-    for _ in range(5):
-        p = random_inward_path(2, rng, knots=5, amplitude=2.5e-5, wiggle=0.5)
-        gp = GeneratorPath.from_field_path(p, small)
-        u1 = ode_exp(gp, 0.0, 1.0, 1e-10).U
-        u2 = piecewise_exp(gp, 0.0, 1.0, 4096).U
-        worst = max(worst, np.linalg.norm(u1 - u2, 2))
     rows.append(_row(
         "evolution-cross-validation",
         "adaptive solve against the 4096-step exponential product on an "
         f"embedded N={small.N} module; the residual is the first-order "
-        "error of the 4096-step product", worst, 1e-7, t0))
+        "error of the 4096-step product", product_limit_gap(small, rng, 5),
+        1e-7, t0))
 
     t0 = _clock()
     p = random_inward_path(2, rng, knots=4, amplitude=0.2)
@@ -325,19 +497,13 @@ def suite_growth(module, tol, rng):
     if module.N < 2:
         return []
     t0 = _clock()
-    c = float(module.params.c)
     budget = min(4, module.N)
     worst = -np.inf
     for _ in range(2):
         p = random_inward_path(2, rng, knots=5, amplitude=0.15)
-        gp = GeneratorPath.from_field_path(p, module)
-        omega = max(qei_bound(p.field_at(t), c)
-                    for t in np.linspace(0.0, 1.0, 33))
         vecs = np.array([random_protected_vector(module, budget, rng)
                          for _ in range(24)])
-        out = growth_bound_check(gp, omega, ((0.0, 1.0), (0.1, 0.6)),
-                                 vecs, tol)
-        worst = max(worst, out["margin"])
+        worst = max(worst, growth_margin(module, p, vecs, tol))
     return [_row(
         "growth-margin",
         "||U(t,s)v|| <= e^{omega (t-s)} ||v|| with omega = max_t mu(X(t)) "
@@ -393,53 +559,31 @@ def suite_dagger(module, tol, rng):
     return rows
 
 
-def _wiggle_homotopy(Kt=48, Ku=12, eps=0.05, q=0.5, mode=2, G_=128):
-    theta = 2.0 * np.pi * np.arange(G_) / G_
-    t = np.linspace(0.0, 1.0, Kt + 1)
-    u = np.linspace(0.0, 1.0, Ku + 1)
-    s = np.sin(np.pi * t) ** 2
-    w = eps * np.cos(mode * theta)
-    base = np.exp(t[:, None] * np.log(q) + 1j * theta[None, :])
-    grid = base[None, :, :] * np.exp(
-        u[:, None, None] * s[None, :, None] * w[None, None, :])
-    return FramingHomotopy(grid, t, u)
-
-
 def suite_cocycle(module, tol, rng):
     if module.N < 2:
         return []
     rows = []
-    theta = 2.0 * np.pi * np.arange(128) / 128
-
     t0 = _clock()
-    t = np.linspace(0.0, 1.0, 49)
-    sl = np.exp(t[:, None] * np.log(0.5) + 1j * theta[None, :])
-    grid = np.repeat(sl[None, :, :], 5, axis=0)
-    H = FramingHomotopy(grid, t, np.linspace(0.0, 1.0, 5))
+    gap = cocycle_invariance_residual(constant_homotopy(), module, tol=tol)
     rows.append(_row(
         "cocycle-constant-homotopy",
         "constant homotopy leaves the operator fixed with unit central "
-        "factor", cocycle_invariance_residual(H, module, tol=tol), 1e-7, t0))
+        "factor", gap, 1e-7, t0))
 
     t0 = _clock()
-    q, Kt = 0.8, 192
-    t = np.linspace(0.0, 1.0, Kt + 1)
-    u = np.linspace(0.0, 1.0, 9)
-    phi = t - 0.15 * np.sin(np.pi * t) ** 2
-    expo = (1 - u[:, None]) * t[None, :] + u[:, None] * phi[None, :]
-    grid = np.exp(expo[:, :, None] * np.log(q) + 1j * theta[None, None, :])
-    H = FramingHomotopy(grid, t, u)
+    gap = cocycle_invariance_residual(reparametrization_homotopy(), module,
+                                      tol=tol)
     rows.append(_row(
         "cocycle-reparametrization",
         "time-warped sweep of the same annulus gives the same operator",
-        cocycle_invariance_residual(H, module, tol=tol), 1e-7, t0))
+        gap, 1e-7, t0))
 
     # the wiggled end framing extracts to modes up to 6, so the residual
     # is taken on levels <= N - 12
     if module.lmax >= 7 and module.protected_dim(12) > 0:
         t0 = _clock()
-        H = _wiggle_homotopy(eps=0.05)
-        gap = cocycle_invariance_residual(H, module, tol=tol, maxmode=7,
+        gap = cocycle_invariance_residual(wiggle_homotopy(2, 0.05, 0.5),
+                                          module, tol=tol, maxmode=7,
                                           tail_tol=3e-5)
         rows.append(_row(
             "cocycle-wiggle",
@@ -479,35 +623,15 @@ def suite_derivative(module, tol, rng):
         return []
     rows = []
     small = _small_twin(module)
-    L0 = small.lmat(0)
 
     t0 = _clock()
-    from scipy.linalg import expm
-
-    def fam_diag(r):
-        return GeneratorPath.constant(np.log(r) * L0)
-
-    D_int, D_fd = parameter_derivative(fam_diag, 0.5, 1e-4, tol)
-    closed = expm(np.log(0.5) * L0) @ L0 / 0.5
-    gap = max(np.abs(D_int - closed).max(), np.abs(D_fd - closed).max())
     rows.append(_row(
         "derivative-diagonal-closed-form",
         "Duhamel integral and centered difference against the diagonal "
-        "closed form", gap, 1e-6, t0))
+        "closed form", derivative_closed_form_gap(small, tol), 1e-6, t0))
 
     t0 = _clock()
-    base = pi_field(VectorField({0: -0.3}), small)
-    bump = pi_field(VectorField({2: 0.2, -2: 0.1}), small)
-
-    def fam_two(p):
-        def sampler(t):
-            return base + p * (1.0 + 0.3 * np.sin(np.pi * t)) * bump
-        return GeneratorPath(sampler, small.dim)
-
-    gaps = []
-    for delta in (2e-3, 1e-3):
-        D_int, D_fd = parameter_derivative(fam_two, 0.1, delta, tol)
-        gaps.append(np.linalg.norm(D_int - D_fd, 2))
+    gaps = derivative_agreement_gaps(small, tol)
     rows.append(_row(
         "derivative-agreement-small-delta",
         "integral formula vs centered difference at delta = 1e-3; the "
@@ -575,36 +699,17 @@ def suite_mobius(module, tol, rng):
 
 def suite_bigon(module, tol, rng):
     rows = []
-    I1 = (-0.4, np.pi + 0.4)
-    I2 = (np.pi - 0.4, 2.0 * np.pi + 0.4)
-
     t0 = _clock()
-    g_in = 0.25 * np.exp(1j * THETA)
-    g_out = np.exp(1j * THETA)
-    B = bigon_factor(g_in, g_out, I1, I2)
-    comp = compose(B.outer, B.inner)
-    gap = max(np.abs(comp.framing.out_curve() - g_out).max(),
-              np.abs(comp.framing.in_curve() - g_in).max())
     rows.append(_row(
         "bigon-round",
-        "two-arc factor annuli glue back to the round annulus", gap,
+        "two-arc factor annuli glue back to the round annulus", bigon_gap(),
         1e-8, t0))
 
     t0 = _clock()
-    co = 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    pert = np.zeros(G)
-    for k, a in enumerate(co, start=1):
-        pert += (a * np.exp(1j * k * THETA)).real
-    g_in = 0.25 * np.exp(1j * THETA) * np.exp(pert)
-    g_out = np.exp(1j * THETA) * np.exp(-pert)
-    B = bigon_factor(g_in, g_out, I1, I2)
-    comp = compose(B.outer, B.inner)
-    gap = max(np.abs(comp.framing.out_curve() - g_out).max(),
-              np.abs(comp.framing.in_curve() - g_in).max())
     rows.append(_row(
         "bigon-perturbed",
         "factor annuli glue back to mode-3 perturbed boundary curves",
-        gap, 1e-8, t0))
+        bigon_gap(bigon_perturbation(rng)), 1e-8, t0))
     return rows
 
 

@@ -134,7 +134,10 @@ class VirasoroOracle:
     # -- words
 
     def reduce_word(self, word: list[int] | tuple[int, ...]) -> dict[Partition, object]:
-        """Normal order L_{word[0]} L_{word[1]} ... L_{word[-1]} v."""
+        """Normal order L_{word[0]} L_{word[1]} ... L_{word[-1]} v.
+
+        The coefficients are exact rationals when c and h are Fractions.
+        """
         state: dict[Partition, object] = {(): self._one()}
         for n in reversed(list(word)):
             nxt: dict[Partition, object] = {}
@@ -172,16 +175,6 @@ class VirasoroOracle:
 def _acc(d: dict, key, val) -> None:
     cur = d.get(key)
     d[key] = val if cur is None else cur + val
-
-
-def normal_order_reduce(word, params: "ModuleParams") -> dict[Partition, object]:
-    """Rewrite L_{word[0]}...L_{word[-1]} v as a combination of lowering words.
-
-    Coefficients are exact rationals in (c, h) when the parameters are
-    Fractions.  This is the brute-force oracle every matrix element is
-    checked against.
-    """
-    return VirasoroOracle(params.c, params.h).reduce_word(word)
 
 
 def gram_matrix(params: "ModuleParams", level: int) -> np.ndarray:

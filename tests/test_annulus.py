@@ -1,5 +1,7 @@
 """Framings, annulus elements, composition, dagger, homotopy cocycle, bigons."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,9 +31,10 @@ from virann.annulus import (
 )
 from virann.errors import (ArgumentError, EvolutionError, GridError,
                            NotInwardError, TruncationError)
-from virann.field import (FieldPath, VectorField, adjoint_field, mode_field,
-                          to_theta)
-from virann.verify import _shallow_path
+from virann.field import FieldPath, VectorField, to_theta
+from virann.rep import represent
+from virann.verify import (BIGON_ARCS, _shallow_path, bigon_gap,
+                           bigon_perturbation, wiggle_homotopy)
 
 G = 256
 K = 64
@@ -83,6 +86,18 @@ class TestFraming:
         assert back.z == E.z
         assert back.path is not None
         assert back.path.field_at(0.3) == E.path.field_at(0.3)
+
+    def test_composite_round_trip_keeps_the_operator(self, mod8):
+        # the composite path is stored as its two factors, not as samples
+        q1, q2 = 0.7, 0.8 * np.exp(0.2j)
+        E = compose(standard_element(q1), standard_element(q2))
+        back = AnnulusElement.from_dict(json.loads(json.dumps(E.to_dict())))
+        assert isinstance(back.path, CompositeFieldPath)
+        w = mod8.weights()
+        U = represent(back, mod8).U
+        assert np.abs(U - np.diag(q1 ** w * q2 ** w)).max() < 1e-12
+        nested = compose(E, standard_element(0.9)).to_dict()
+        assert AnnulusElement.from_dict(nested).to_dict() == nested
 
     def test_from_dict_rejects_wrong_width(self):
         doc = standard_element(0.5, G=16, K=2).to_dict()
@@ -365,27 +380,16 @@ class TestCompositePhase:
 # homotopies
 
 
-def wiggle_homotopy(Kt=48, Ku=12, eps=0.05, q=0.5, mode=2, Gg=G):
-    t = np.linspace(0.0, 1.0, Kt + 1)
-    u = np.linspace(0.0, 1.0, Ku + 1)
-    theta = 2 * np.pi * np.arange(Gg) / Gg
-    s = np.sin(np.pi * t) ** 2
-    w = eps * np.cos(mode * theta)
-    base = np.exp(t[:, None] * np.log(q) + 1j * theta[None, :])
-    grid = base[None, :, :] * np.exp(u[:, None, None] * s[None, :, None] * w[None, None, :])
-    return FramingHomotopy(grid, t, u)
-
-
 class TestHomotopy:
     def test_pinned_ends_enforced(self):
-        H = wiggle_homotopy()
+        H = wiggle_homotopy(2, 0.05, 0.5, G=G)
         bad = H.grid.copy()
         bad[-1, 0, :] *= 1.001  # move a boundary row of the last slice
         with pytest.raises(ArgumentError):
             FramingHomotopy(bad, H.tknots, H.uknots)
 
     def test_slices_are_framings(self):
-        H = wiggle_homotopy()
+        H = wiggle_homotopy(2, 0.05, 0.5, G=G)
         assert validate_framing(H.slice_at(0))["ok"]
         assert validate_framing(H.slice_at(len(H.uknots) - 1))["ok"]
 
@@ -400,20 +404,22 @@ class TestHomotopy:
         assert abs(homotopy_cocycle(H, c=2.0)) < 1e-12
 
     def test_cocycle_converged(self):
-        r1 = homotopy_cocycle(wiggle_homotopy(48, 12), c=2.0)
-        r2 = homotopy_cocycle(wiggle_homotopy(96, 24), c=2.0)
+        fine = wiggle_homotopy(2, 0.05, 0.5, Kt=96, Ku=24, G=G)
+        r1 = homotopy_cocycle(wiggle_homotopy(2, 0.05, 0.5, G=G), c=2.0)
+        r2 = homotopy_cocycle(fine, c=2.0)
         assert abs(r1) > 1e-4  # genuinely nonzero
         assert abs(r1 - r2) < 1e-6
 
     def test_cocycle_linear_in_central_charge(self):
-        H = wiggle_homotopy()
+        H = wiggle_homotopy(2, 0.05, 0.5, G=G)
         r1 = homotopy_cocycle(H, c=1.0)
         r2 = homotopy_cocycle(H, c=2.0)
         assert abs(r2 - 2.0 * r1) < 1e-12 * max(1.0, abs(r2))
 
     def test_witt_compatibility_second_order(self):
-        res1 = witt_compatibility_residual(wiggle_homotopy(48, 12))
-        res2 = witt_compatibility_residual(wiggle_homotopy(96, 24))
+        fine = wiggle_homotopy(2, 0.05, 0.5, Kt=96, Ku=24, G=G)
+        res1 = witt_compatibility_residual(wiggle_homotopy(2, 0.05, 0.5, G=G))
+        res2 = witt_compatibility_residual(fine)
         assert res2 < res1 / 2.5
         assert res2 < 1e-3
 
@@ -422,8 +428,7 @@ class TestHomotopy:
 # bigon factorization
 
 
-I1 = (-0.4, np.pi + 0.4)
-I2 = (np.pi - 0.4, 2 * np.pi + 0.4)
+I1, I2 = BIGON_ARCS
 
 
 def arc_mask(I):
@@ -445,17 +450,8 @@ class TestBigon:
         assert lam_p[~arc_mask(I2)].max() == 0.0
 
     def test_composition_reproduces_curves(self):
-        rng = np.random.default_rng(7)
-        co = 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        pert = np.zeros(G)
-        for k, a in enumerate(co, start=1):
-            pert += (a * np.exp(1j * k * THETA)).real
-        g_in = 0.25 * np.exp(1j * THETA) * np.exp(pert)
-        g_out = np.exp(1j * THETA) * np.exp(-pert)
-        B = bigon_factor(g_in, g_out, I1, I2)
-        comp = compose(B.outer, B.inner)
-        assert np.abs(comp.framing.out_curve() - g_out).max() < 1e-12
-        assert np.abs(comp.framing.in_curve() - g_in).max() < 1e-12
+        pert = bigon_perturbation(np.random.default_rng(7))
+        assert bigon_gap(pert) < 1e-12
 
     def test_deviations_localized(self):
         base_in = 0.25 * np.exp(1j * THETA)

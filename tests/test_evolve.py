@@ -12,7 +12,6 @@ from virann.annulus import standard_element
 from virann.errors import ArgumentError, EvolutionError
 from virann.evolve import (
     DEFAULT_ODE_TOL,
-    EvolutionResult,
     GeneratorPath,
     _segments,
     _sweep,
@@ -28,10 +27,15 @@ from virann.field import (
     VectorField,
     mode_field,
     pi_field,
-    qei_bound,
     random_inward_path,
 )
 from virann.rep import represent
+from virann.verify import (
+    derivative_agreement_gaps,
+    derivative_closed_form_gap,
+    growth_margin,
+    product_limit_gap,
+)
 from virann.virmod import random_protected_vector
 
 
@@ -122,15 +126,7 @@ def test_ode_dop853_variant(noncommuting_path):
 
 
 def test_cross_validation_small_amplitude(mod6, rng):
-    # amplitude keeps the first-order product error of n = 4096 under 1e-7
-    worst = 0.0
-    for _ in range(5):
-        p = random_inward_path(2, rng, knots=5, amplitude=2.5e-5, wiggle=0.5)
-        gp = GeneratorPath.from_field_path(p, mod6)
-        u1 = ode_exp(gp, 0.0, 1.0, 1e-10).U
-        u2 = piecewise_exp(gp, 0.0, 1.0, 4096).U
-        worst = max(worst, np.linalg.norm(u1 - u2, 2))
-    assert worst < 1e-7
+    assert product_limit_gap(mod6, rng, 5) < 1e-7
 
 
 def test_sweep_steps_like_solve_ivp(noncommuting_path):
@@ -276,15 +272,7 @@ def test_adjoint_check_random_paths(mod6, rng):
 
 
 def test_derivative_diagonal_family_closed_form(mod6):
-    L0 = mod6.lmat(0)
-
-    def fam(r):
-        return GeneratorPath.constant(np.log(r) * L0)
-
-    D_int, D_fd = parameter_derivative(fam, 0.5, 1e-4)
-    closed = expm(np.log(0.5) * L0) @ L0 / 0.5
-    assert np.abs(D_int - closed).max() < 1e-6
-    assert np.abs(D_fd - closed).max() < 1e-6
+    assert derivative_closed_form_gap(mod6, DEFAULT_ODE_TOL) < 1e-6
 
 
 def test_derivative_parameter_independent_family(mod6):
@@ -299,18 +287,7 @@ def test_derivative_parameter_independent_family(mod6):
 
 
 def test_derivative_two_mode_family_second_order(mod6):
-    base = pi_field(VectorField({0: -0.3}), mod6)
-    bump = pi_field(VectorField({2: 0.2, -2: 0.1}), mod6)
-
-    def fam(p):
-        def sampler(t):
-            return base + p * (1.0 + 0.3 * np.sin(np.pi * t)) * bump
-        return GeneratorPath(sampler, mod6.dim)
-
-    gaps = []
-    for delta in (2e-3, 1e-3):
-        D_int, D_fd = parameter_derivative(fam, 0.1, delta)
-        gaps.append(np.linalg.norm(D_int - D_fd, 2))
+    gaps = derivative_agreement_gaps(mod6, DEFAULT_ODE_TOL)
     # centered differencing on both sides: disagreement drops ~4x per halving
     assert gaps[1] < gaps[0] / 2.5
 
@@ -340,8 +317,5 @@ def test_pure_scaling_contracts(mod6):
 def test_inward_paths_obey_mu_rate(mod6, rng):
     for _ in range(5):
         p = random_inward_path(2, rng, knots=5, amplitude=0.15)
-        gp = GeneratorPath.from_field_path(p, mod6)
-        omega = max(qei_bound(p.field_at(t), 2.0) for t in np.linspace(0, 1, 33))
         vecs = np.array([random_protected_vector(mod6, 4, rng) for _ in range(40)])
-        rep = growth_bound_check(gp, omega, ((0.0, 1.0), (0.1, 0.6)), vecs)
-        assert rep["margin"] <= 1e-6
+        assert growth_margin(mod6, p, vecs, DEFAULT_ODE_TOL) <= 1e-6

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from virann.errors import ArgumentError, GridError, NotInwardError, TruncationError
 from virann.field import (
+    DEFAULT_INWARD_TOL,
     FieldPath,
     VectorField,
     adjoint_field,
     cocycle,
-    energy_bound_constant,
     field_norm,
     inward_margin,
-    is_inward,
     mode_field,
     pi_field,
     qei_bound,
@@ -22,9 +21,8 @@ from virann.field import (
     random_inward_path,
     to_theta,
     witt_bracket,
-    zero_field,
 )
-from virann.virmod import random_protected_vector, sobolev_norm
+from virann.verify import energy_margin, qei_excess
 
 coeff_st = st.builds(complex,
                      st.floats(min_value=-2, max_value=2, allow_nan=False),
@@ -47,7 +45,7 @@ def test_bracket_basis_cases():
 
 @given(field_st())
 def test_bracket_self_is_zero(X):
-    assert witt_bracket(X, X) == zero_field()
+    assert witt_bracket(X, X) == VectorField({})
 
 
 @given(field_st(4), field_st(4), field_st(4))
@@ -106,9 +104,10 @@ def test_to_theta_grid_too_small():
 
 
 def test_inwardness_of_scaling_rotation_expansion():
-    assert is_inward(mode_field(0, np.log(0.5)))
-    assert is_inward(mode_field(0, 1j))  # tangential boundary case
-    assert not is_inward(mode_field(0, 1.0))
+    assert inward_margin(mode_field(0, np.log(0.5))) <= DEFAULT_INWARD_TOL
+    # tangential boundary case
+    assert inward_margin(mode_field(0, 1j)) <= DEFAULT_INWARD_TOL
+    assert inward_margin(mode_field(0, 1.0)) > DEFAULT_INWARD_TOL
 
 
 def test_inward_margin_matches_cosine_peak():
@@ -120,7 +119,7 @@ def test_inward_margin_matches_cosine_peak():
 def test_random_inward_fields_are_inward(rng):
     for _ in range(40):
         X = random_inward_field(4, rng, amplitude=float(rng.uniform(0.01, 5.0)))
-        assert is_inward(X)
+        assert inward_margin(X) <= DEFAULT_INWARD_TOL
 
 
 def test_random_inward_path_interpolates_inward(rng):
@@ -218,7 +217,7 @@ def test_block_product_matches_dense(mod12, rng, cols):
 
 def test_block_product_of_the_empty_field_is_zero(mod12, rng):
     V = rng.standard_normal((mod12.dim, 4)) + 0j
-    out = pi_field(zero_field(), mod12, V)
+    out = pi_field(VectorField({}), mod12, V)
     assert out.shape == V.shape and not out.any()
 
 
@@ -229,25 +228,11 @@ def test_block_product_mode_overflow(mod6):
 
 def test_numerical_range_bound(mod12, rng):
     """Re<pi(X)v, v> <= mu_X for inward X and protected v."""
-    for _ in range(60):
-        X = random_inward_field(4, rng, amplitude=float(rng.uniform(0.05, 2.0)))
-        mu = qei_bound(X, 2.0)
-        A = pi_field(X, mod12)
-        for _ in range(5):
-            v = random_protected_vector(mod12, 4, rng)
-            assert np.vdot(v, A @ v).real <= mu + 1e-8
+    assert qei_excess(mod12, rng, fields=60, vectors=5) <= 1e-8
 
 
 def test_energy_bound(mod12, rng):
-    C = energy_bound_constant(2.0)
-    for _ in range(60):
-        X = random_inward_field(4, rng, amplitude=float(rng.uniform(0.05, 2.0)))
-        A = pi_field(X, mod12)
-        for n in (0, 1, 2):
-            v = random_protected_vector(mod12, 4, rng)
-            lhs = sobolev_norm(A @ v, n, mod12)
-            rhs = C * field_norm(X, n + 1.5) * sobolev_norm(v, n + 1, mod12)
-            assert lhs <= rhs
+    assert energy_margin(mod12, rng, fields=60) <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +241,24 @@ def test_energy_bound(mod12, rng):
 
 def test_path_validation():
     with pytest.raises(ArgumentError):
-        FieldPath([0.0, 0.5], [zero_field(), zero_field()])
+        FieldPath([0.0, 0.5], [VectorField({}), VectorField({})])
     with pytest.raises(ArgumentError):
-        FieldPath([0.0, 0.5, 0.5, 1.0], [zero_field()] * 4)
+        FieldPath([0.0, 0.5, 0.5, 1.0], [VectorField({})] * 4)
     with pytest.raises(ArgumentError):
-        FieldPath([0.0, 1.0], [zero_field(), zero_field()], interp="cubic")
+        FieldPath([0.0, 1.0], [VectorField({})] * 2, interp="cubic")
     # every comparison with NaN is false, so the ordering checks pass it
     for knots in ([0.0, np.nan, 1.0], [0.0, np.inf, 1.0]):
         with pytest.raises(ArgumentError, match="must be finite"):
-            FieldPath(knots, [zero_field()] * 3)
+            FieldPath(knots, [VectorField({})] * 3)
     with pytest.raises(ArgumentError, match="must be finite"):
-        FieldPath([0.0, 1.0], [zero_field(), mode_field(2, complex(0, np.nan))])
+        FieldPath([0.0, 1.0],
+                  [VectorField({}), mode_field(2, complex(0, np.nan))])
 
 
 def test_path_linear_interpolation():
     p = FieldPath([0.0, 1.0], [mode_field(1, 0.0), mode_field(1, 2.0)])
     assert p.field_at(0.25) == mode_field(1, 0.5)
-    assert p.field_at(-5.0) == zero_field()  # clamped
+    assert p.field_at(-5.0) == VectorField({})  # clamped
     assert p.field_at(2.0) == mode_field(1, 2.0)
 
 

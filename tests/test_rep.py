@@ -7,32 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virann.annulus import (FramingHomotopy, compose, dagger,
-                            element_from_path, identity_element,
-                            standard_element)
+from virann.annulus import (compose, dagger, element_from_path,
+                            identity_element, standard_element)
 from virann.errors import ArgumentError, NotInwardError, TruncationError
 from virann.evolve import GeneratorPath, ode_exp
-from virann.field import FieldPath, VectorField, pi_field
-from virann.rep import (RepresentedAnnulus, _interaction_generator,
-                        cocycle_invariance_residual, contraction_check,
-                        dagger_residual, holomorphy_residual,
-                        lowering_norms, mobius_overlap, represent,
-                        segal_residual, semigroup_residual, transport_field)
-from virann.verify import _shallow_path
-from virann.virmod import ModuleParams, VirasoroOracle, build_module
+from virann.field import FieldPath, VectorField
+from virann.rep import (_interaction_generator, cocycle_invariance_residual,
+                        contraction_check, dagger_residual,
+                        holomorphy_residual, lowering_norms, mobius_overlap,
+                        represent, segal_residual, semigroup_residual,
+                        transport_field)
+from virann.verify import (_shallow_path, constant_homotopy,
+                           reparametrization_homotopy, wiggle_homotopy)
+from virann.virmod import VirasoroOracle
 
 G = 128
-THETA = 2 * np.pi * np.arange(G) / G
-
-
-@pytest.fixture(scope="module")
-def mod10():
-    return build_module(ModuleParams(2, 0.5, 10))
-
-
-@pytest.fixture(scope="module")
-def mod12():
-    return build_module(ModuleParams(2, 0.5, 12))
 
 
 def flowed_pair(rng):
@@ -40,17 +29,6 @@ def flowed_pair(rng):
     Eb = element_from_path(_shallow_path(rng, maxmode=3), G=G, K=32,
                            start_curve=Ea.framing.in_curve())
     return Ea, Eb
-
-
-def wiggle_homotopy(Kt=48, Ku=12, eps=0.05, q=0.5, mode=2):
-    t = np.linspace(0.0, 1.0, Kt + 1)
-    u = np.linspace(0.0, 1.0, Ku + 1)
-    s = np.sin(np.pi * t) ** 2
-    w = eps * np.cos(mode * THETA)
-    base = np.exp(t[:, None] * np.log(q) + 1j * THETA[None, :])
-    grid = base[None, :, :] * np.exp(
-        u[:, None, None] * s[None, :, None] * w[None, None, :])
-    return FramingHomotopy(grid, t, u)
 
 
 # ---------------------------------------------------------------------------
@@ -205,35 +183,21 @@ class TestDagger:
 
 class TestCocycleInvariance:
     def test_constant_homotopy(self, mod10):
-        t = np.linspace(0, 1, 49)
-        sl = np.exp(t[:, None] * np.log(0.5) + 1j * THETA[None, :])
-        grid = np.repeat(sl[None, :, :], 5, axis=0)
-        H = FramingHomotopy(grid, t, np.linspace(0, 1, 5))
-        assert cocycle_invariance_residual(H, mod10) < 1e-8
+        assert cocycle_invariance_residual(constant_homotopy(), mod10) < 1e-8
 
     def test_time_reparametrization(self, mod10):
-        # both ends frame the same annulus, so the central factor is 1 and
-        # the operators must agree; endpoint-flat warp keeps the boundary
-        # rows of the homotopy pinned
-        q, Kt = 0.8, 192
-        t = np.linspace(0, 1, Kt + 1)
-        u = np.linspace(0, 1, 9)
-        phi = t - 0.15 * np.sin(np.pi * t) ** 2
-        expo = (1 - u[:, None]) * t[None, :] + u[:, None] * phi[None, :]
-        grid = np.exp(expo[:, :, None] * np.log(q)
-                      + 1j * THETA[None, None, :])
-        H = FramingHomotopy(grid, t, u)
+        H = reparametrization_homotopy()
         assert cocycle_invariance_residual(H, mod10) < 1e-7
 
     def test_mode_two_wiggle(self, mod12):
-        H = wiggle_homotopy(eps=0.05)
+        H = wiggle_homotopy(2, 0.05, 0.5)
         res = cocycle_invariance_residual(H, mod12, maxmode=7, tail_tol=3e-5)
         assert res < 1e-4
 
     def test_wiggle_pins_the_sign(self, mod12):
         # flipping the central charge flips the exponent; the matched sign
         # must beat the flipped one decisively
-        H = wiggle_homotopy(eps=0.05)
+        H = wiggle_homotopy(2, 0.05, 0.5)
         good = cocycle_invariance_residual(H, mod12, maxmode=7, tail_tol=3e-5)
         bad = cocycle_invariance_residual(H, mod12, c=-2.0, maxmode=7,
                                           tail_tol=3e-5)

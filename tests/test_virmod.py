@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virann.errors import ArgumentError, NonUnitaryError, TruncationError
+from virann.verify import bracket_residual
 from virann.virmod import (
     ModuleParams,
     VirasoroOracle,
@@ -18,7 +19,6 @@ from virann.virmod import (
     gram_matrix,
     module_from_dict,
     module_to_dict,
-    normal_order_reduce,
     partitions_of,
     random_protected_vector,
     sobolev_norm,
@@ -89,29 +89,26 @@ def test_partition_counts_match_pentagonal_recurrence(k):
 
 
 def test_single_bracket_lowering():
-    out = normal_order_reduce([1, -1], exact_params(2, 1, 2))
+    out = VirasoroOracle(F(2), F(1)).reduce_word([1, -1])
     assert out == {(): F(2)}  # 2h with h=1
 
 
 def test_level_two_scalar_with_central_term():
-    p = exact_params(3, F(1, 4))
-    out = normal_order_reduce([2, -2], p)
+    out = VirasoroOracle(F(3), F(1, 4)).reduce_word([2, -2])
     assert out == {(): 4 * F(1, 4) + F(3) / 2}  # 4h + c/2
 
 
 def test_two_step_reduction():
-    p = exact_params(7, F(1, 3))
-    out = normal_order_reduce([2, -1, -1], p)
+    out = VirasoroOracle(F(7), F(1, 3)).reduce_word([2, -1, -1])
     assert out == {(): 6 * F(1, 3)}  # 6h, independent of c
 
 
 def test_reduce_word_annihilates_on_positive_mode():
-    assert normal_order_reduce([5], exact_params(2, 1)) == {}
+    assert VirasoroOracle(F(2), F(1)).reduce_word([5]) == {}
 
 
 def test_oracle_mixed_word_stays_exact():
-    p = exact_params(F(1, 2), F(1, 16))
-    out = normal_order_reduce([1, -2], p)
+    out = VirasoroOracle(F(1, 2), F(1, 16)).reduce_word([1, -2])
     # [L_1, L_{-2}] = 3 L_{-1}
     assert out == {(1,): F(3)}
 
@@ -241,18 +238,7 @@ def test_graded_block_structure(mod12):
 def test_bracket_on_protected_columns(mod12):
     """[L_m, L_n] = (m-n)L_{m+n} + (c/12)(m^3-m) on levels the cutoff
     cannot touch."""
-    c, off, dim = 2.0, mod12.level_offsets, mod12.dim
-    worst = 0.0
-    for m in range(-4, 5):
-        for n in range(-4, 5):
-            cols = off[mod12.N - abs(m) - abs(n) + 1]
-            lm, ln = mod12.lmat(m), mod12.lmat(n)
-            lhs = lm @ ln[:, :cols] - ln @ lm[:, :cols]
-            rhs = (m - n) * mod12.lmat(m + n)[:, :cols]
-            if m + n == 0:
-                rhs = rhs + (c / 12.0) * (m**3 - m) * np.eye(dim)[:, :cols]
-            worst = max(worst, np.abs(lhs - rhs).max())
-    assert worst < 1e-10
+    assert bracket_residual(mod12) < 1e-10
 
 
 def test_matrix_elements_match_exact_oracle():
