@@ -343,5 +343,5 @@ def growth_bound_check(path: GeneratorPath, omega: float,
         margins = unorms - amp * vnorms
         m = float(margins.max())
         rows.append({"s": s, "t": t, "margin": m})
-        worst = max(worst, m)
-    return {"omega": omega, "margin": worst, "samples": rows}
+        worst = np.maximum(worst, m)
+    return {"omega": omega, "margin": float(worst), "samples": rows}

@@ -15,7 +15,9 @@ The measurement functions below (``gram_float_gap``, ``bracket_residual``,
 ``constant_homotopy``, ``reparametrization_homotopy``,
 ``bigon_perturbation``) are the single definition of each criterion they
 measure.  The suites call them with the CLI's ensemble sizes; the
-acceptance tests call them with their own seeds, sizes and bounds.
+acceptance tests call them with their own seeds, sizes and bounds.  They
+take maxima with ``np.maximum``, so a NaN case makes the result NaN and
+fails every bound instead of being skipped.
 
 Suites degrade gracefully at small cutoffs: rows whose construction needs
 more levels than the module has are omitted rather than faked.  Two heavy
@@ -125,8 +127,8 @@ def _small_twin(module: ModuleData, N: int = 6, lmax: int = 2) -> ModuleData:
 def gram_float_gap(params: ModuleParams, exact: dict) -> float:
     """Largest entry gap of the float inner-product matrices at ``params``
     from the exact ones, given as {level: exact matrix}."""
-    return max(np.abs(gram_matrix(params, k) - g.astype(float)).max()
-               for k, g in exact.items())
+    return float(np.max([np.abs(gram_matrix(params, k) - g.astype(float)).max()
+                         for k, g in exact.items()]))
 
 
 def level2_closed_form_gap(c: Fraction, h: Fraction, g2: np.ndarray) -> float:
@@ -154,8 +156,8 @@ def bracket_residual(module: ModuleData) -> float:
             rhs = (m - n) * module.lmat(m + n)[:, :cols]
             if m + n == 0:
                 rhs = rhs + (c / 12.0) * (m**3 - m) * np.eye(dim)[:, :cols]
-            worst = max(worst, np.abs(lhs - rhs).max())
-    return worst
+            worst = np.maximum(worst, np.abs(lhs - rhs).max())
+    return float(worst)
 
 
 def _random_fields(module: ModuleData, rng: np.random.Generator,
@@ -171,7 +173,8 @@ def _random_fields(module: ModuleData, rng: np.random.Generator,
 def qei_excess(module: ModuleData, rng: np.random.Generator, fields: int,
                vectors: int) -> float:
     """Largest Re<pi(X)v, v> - mu(X) over ``fields`` random inward fields
-    and ``vectors`` protected vectors each (-inf if no field fits)."""
+    and ``vectors`` protected vectors each (-inf if no field fits; NaN if
+    any case is NaN)."""
     c = float(module.params.c)
     budget = min(4, module.N)
     worst = -np.inf
@@ -180,8 +183,8 @@ def qei_excess(module: ModuleData, rng: np.random.Generator, fields: int,
         A = pi_field(X, module)
         for _ in range(vectors):
             v = random_protected_vector(module, budget, rng)
-            worst = max(worst, float(np.vdot(v, A @ v).real - mu))
-    return worst
+            worst = np.maximum(worst, np.vdot(v, A @ v).real - mu)
+    return float(worst)
 
 
 def qei_spot_gap(c: float) -> float:
@@ -195,7 +198,7 @@ def energy_margin(module: ModuleData, rng: np.random.Generator,
                   fields: int) -> float:
     """Largest ||pi(X)v||_n - C ||X||_{n+3/2} ||v||_{n+1} over ``fields``
     random inward fields, one protected vector per n in {0, 1, 2}
-    (-inf if no field fits)."""
+    (-inf if no field fits; NaN if any case is NaN)."""
     c = float(module.params.c)
     C = energy_bound_constant(c)
     budget = min(4, module.N)
@@ -206,8 +209,8 @@ def energy_margin(module: ModuleData, rng: np.random.Generator,
             v = random_protected_vector(module, budget, rng)
             lhs = sobolev_norm(A @ v, n, module)
             rhs = C * field_norm(X, n + 1.5) * sobolev_norm(v, n + 1, module)
-            worst = max(worst, lhs - rhs)
-    return worst
+            worst = np.maximum(worst, lhs - rhs)
+    return float(worst)
 
 
 def product_limit_gap(module: ModuleData, rng: np.random.Generator,
@@ -221,8 +224,8 @@ def product_limit_gap(module: ModuleData, rng: np.random.Generator,
         gp = GeneratorPath.from_field_path(p, module)
         u1 = ode_exp(gp, 0.0, 1.0, 1e-10).U
         u2 = piecewise_exp(gp, 0.0, 1.0, 4096).U
-        worst = max(worst, np.linalg.norm(u1 - u2, 2))
-    return worst
+        worst = np.maximum(worst, np.linalg.norm(u1 - u2, 2))
+    return float(worst)
 
 
 def growth_margin(module: ModuleData, path: FieldPath, vecs: np.ndarray,
@@ -231,8 +234,8 @@ def growth_margin(module: ModuleData, path: FieldPath, vecs: np.ndarray,
     with omega = max_t mu(X(t)) over 33 times."""
     c = float(module.params.c)
     gp = GeneratorPath.from_field_path(path, module)
-    omega = max(qei_bound(path.field_at(t), c)
-                for t in np.linspace(0.0, 1.0, 33))
+    omega = np.max([qei_bound(path.field_at(t), c)
+                    for t in np.linspace(0.0, 1.0, 33)])
     return growth_bound_check(gp, omega, ((0.0, 1.0), (0.1, 0.6)), vecs,
                               tol)["margin"]
 
@@ -247,7 +250,8 @@ def derivative_closed_form_gap(module: ModuleData, tol: float) -> float:
 
     D_int, D_fd = parameter_derivative(fam, 0.5, 1e-4, tol)
     closed = expm(np.log(0.5) * L0) @ L0 / 0.5
-    return max(np.abs(D_int - closed).max(), np.abs(D_fd - closed).max())
+    return float(np.maximum(np.abs(D_int - closed).max(),
+                            np.abs(D_fd - closed).max()))
 
 
 def derivative_agreement_gaps(module: ModuleData, tol: float) -> list[float]:
@@ -324,8 +328,8 @@ def bigon_gap(pert=0.0) -> float:
     g_out = np.exp(1j * THETA) * np.exp(-pert)
     B = bigon_factor(g_in, g_out, *BIGON_ARCS)
     comp = compose(B.outer, B.inner)
-    return max(np.abs(comp.framing.out_curve() - g_out).max(),
-               np.abs(comp.framing.in_curve() - g_in).max())
+    return float(np.maximum(np.abs(comp.framing.out_curve() - g_out).max(),
+                            np.abs(comp.framing.in_curve() - g_in).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +397,7 @@ def suite_qei(module, tol, rng):
     rows = []
     t0 = _clock()
     worst = qei_excess(module, rng, fields=40, vectors=8)
-    if np.isfinite(worst):
+    if worst != -np.inf:
         rows.append(_row(
             "qei-numerical-range",
             "Re<pi(X)v, v> - mu(X) over random inward fields and protected "
@@ -410,7 +414,7 @@ def suite_qei(module, tol, rng):
 def suite_energy(module, tol, rng):
     t0 = _clock()
     worst = energy_margin(module, rng, fields=40)
-    if not np.isfinite(worst):
+    if worst == -np.inf:
         return []
     return [_row(
         "energy-bound-margin",
@@ -503,7 +507,7 @@ def suite_growth(module, tol, rng):
         p = random_inward_path(2, rng, knots=5, amplitude=0.15)
         vecs = np.array([random_protected_vector(module, budget, rng)
                          for _ in range(24)])
-        worst = max(worst, growth_margin(module, p, vecs, tol))
+        worst = np.maximum(worst, growth_margin(module, p, vecs, tol))
     return [_row(
         "growth-margin",
         "||U(t,s)v|| <= e^{omega (t-s)} ||v|| with omega = max_t mu(X(t)) "

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virann import verify
 from virann.errors import ArgumentError, GridError, NotInwardError, TruncationError
 from virann.field import (
     DEFAULT_INWARD_TOL,
@@ -233,6 +234,25 @@ def test_numerical_range_bound(mod12, rng):
 
 def test_energy_bound(mod12, rng):
     assert energy_margin(mod12, rng, fields=60) <= 0.0
+
+
+@pytest.mark.parametrize("measure, name", [
+    (lambda m, r: qei_excess(m, r, fields=3, vectors=2), "qei_bound"),
+    (lambda m, r: energy_margin(m, r, fields=3), "field_norm"),
+], ids=["qei_excess", "energy_margin"])
+def test_a_nan_case_makes_the_ensemble_worst_nan(mod12, rng, monkeypatch,
+                                                 measure, name):
+    # only the first case is NaN; later finite cases must not hide it
+    real = getattr(verify, name)
+    calls = []
+
+    def first_nan(*args):
+        calls.append(1)
+        return np.nan if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(verify, name, first_nan)
+    assert np.isnan(measure(mod12, rng))
+    assert len(calls) > 1
 
 
 # ---------------------------------------------------------------------------
