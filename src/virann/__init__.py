@@ -42,7 +42,6 @@ from .evolve import (
     GeneratorPath,
     adjoint_evolution_check,
     flow_residual,
-    growth_bound_check,
     ode_exp,
     parameter_derivative,
     piecewise_exp,
@@ -66,7 +65,6 @@ from .field import (
 from .rep import (
     RepresentedAnnulus,
     cocycle_invariance_residual,
-    contraction_check,
     dagger_residual,
     holomorphy_residual,
     lowering_norms,

@@ -50,7 +50,6 @@ class Framing:
 
     grid: np.ndarray
     knots: np.ndarray
-    sitting: tuple[bool, bool] = (False, False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=complex)
@@ -495,7 +494,7 @@ def compose(E1: AnnulusElement, E2: AnnulusElement, tol: float = 1e-8,
     k2 = 0.5 + 0.5 * f2.knots
     grid = np.vstack([f1.grid, (lam * f2.grid)[1:]])
     knots = np.concatenate([k1, k2[1:]])
-    framing = Framing(grid, knots, sitting=(True, True))
+    framing = Framing(grid, knots)
 
     # best effort: factors without attached paths whose framings are not
     # mode-limited at the extraction defaults yield a composite without an
@@ -523,8 +522,7 @@ def dagger(E: AnnulusElement) -> AnnulusElement:
     f = E.framing
     knots = 1.0 - f.knots[::-1]
     knots[0], knots[-1] = 0.0, 1.0
-    framing = Framing(np.conj(f.grid[::-1]).copy(), knots,
-                      sitting=(E.framing.sitting[1], E.framing.sitting[0]))
+    framing = Framing(np.conj(f.grid[::-1]).copy(), knots)
     path = E.path.reversed_adjoint() if E.path is not None else None
     return AnnulusElement(framing, z=np.conj(complex(E.z)), path=path)
 

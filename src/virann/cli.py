@@ -6,7 +6,8 @@ Subcommands:
   verify     run verification suites and write a report (json or csv)
 
 Values resolve flag > VIRANN_-prefixed environment variable > config file
-> built-in default.  Module and element files, the resolved run
+> built-in default; the defaults of the run configuration are those of
+``verify.normalize_config``.  Module and element files, the resolved run
 configuration and the report are checked against their schemas in
 ``virann/schemas``.  One validator per schema is built per process; the
 matrices of a module file are first checked by one exact pass over their
@@ -41,7 +42,7 @@ from .errors import (ArgumentError, EvolutionError, GridError,
 from .evolve import DEFAULT_ODE_TOL
 from .field import FieldPath, VectorField
 from .rep import represent
-from .verify import SUITES, run_config
+from .verify import SUITES, normalize_config, run_config
 from .virmod import (ModuleParams, build_module, check_unitarity,
                      module_from_dict, module_to_dict)
 
@@ -128,9 +129,10 @@ def _resolve(flag, env_name: str, cast, fallback):
 
 
 def cmd_build(args) -> int:
-    c = _resolve(args.c, "C", float, 2.0)
-    h = _resolve(args.h, "H", float, 0.5)
-    N = _resolve(args.N, "N", int, 12)
+    default = normalize_config({})["module"]
+    c = _resolve(args.c, "C", float, default["c"])
+    h = _resolve(args.h, "H", float, default["h"])
+    N = _resolve(args.N, "N", int, default["N"])
     tol = _resolve(args.tol, "TOL", float, None)
     out = _resolve(args.out, "OUT", str, "module.json")
 
@@ -238,23 +240,29 @@ def cmd_verify(args) -> int:
             cfg = json.load(f)
         if not isinstance(cfg, dict):
             raise ArgumentError("config file must hold a JSON object")
+    default = normalize_config({})
     file_module = cfg.get("module", {})
 
-    c = _resolve(args.c, "C", float, file_module.get("c", 2.0))
-    h = _resolve(args.h, "H", float, file_module.get("h", 0.5))
-    N = _resolve(args.N, "N", int, file_module.get("N", 12))
-    tol = _resolve(args.tol, "TOL", float, cfg.get("tol", DEFAULT_ODE_TOL))
-    seed = _resolve(args.seed, "SEED", int, cfg.get("seed", 1))
-    fmt = _resolve(args.format, "FORMAT", str, cfg.get("format", "json"))
+    c = _resolve(args.c, "C", float,
+                 file_module.get("c", default["module"]["c"]))
+    h = _resolve(args.h, "H", float,
+                 file_module.get("h", default["module"]["h"]))
+    N = _resolve(args.N, "N", int,
+                 file_module.get("N", default["module"]["N"]))
+    tol = _resolve(args.tol, "TOL", float, cfg.get("tol", default["tol"]))
+    seed = _resolve(args.seed, "SEED", int, cfg.get("seed", default["seed"]))
+    fmt = _resolve(args.format, "FORMAT", str,
+                   cfg.get("format", default["format"]))
     outdir = _resolve(args.out, "OUT", str, cfg.get("out", "."))
-    verbosity = int(_env("VERBOSITY") or cfg.get("verbosity", 1))
+    verbosity = int(_env("VERBOSITY")
+                    or cfg.get("verbosity", default["verbosity"]))
 
     if args.suite:
         suites = [s for spec in args.suite for s in spec.split(",")]
     elif _env("SUITE"):
         suites = _env("SUITE").split(",")
     else:
-        suites = cfg.get("suites", ["all"])
+        suites = cfg.get("suites", default["suites"])
     if suites == ["all"]:
         suites = list(SUITES)
 

@@ -12,8 +12,8 @@ generator a_0(t) L_0 + B(t) of an annulus to either engine: it applies
 the scaling flow e^{phi L_0} in closed form and calls ``ode_exp`` only
 for the non-diagonal part in the interaction picture.  Both engines, run
 on full generators, stay the cross-checks of that split.  Also here: the
-adjoint-reversal identity check, the parameter-derivative (Duhamel)
-formula, and growth-bound reporting.
+adjoint-reversal identity check and the parameter-derivative (Duhamel)
+formula.
 
 Every ODE of the package (these matrix solves, the field transport of
 ``rep`` and the circle flow of ``annulus.element_from_path``) is stepped
@@ -106,25 +106,10 @@ class GeneratorPath:
 @dataclass
 class EvolutionResult:
     U: np.ndarray
-    s: float
-    t: float
     stepcount: int
-    #: an estimate of the error of U; None where the method gives none
-    #: (RK45 controls local errors only: see ``meta["tol"]``)
-    errest: float | None
     method: str
+    #: ``nfev``, the right-hand side evaluations of an ODE solve
     meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "s": self.s,
-            "t": self.t,
-            "stepcount": self.stepcount,
-            "errest": self.errest,
-            "tol": self.meta.get("tol"),
-            "U": [[[float(z.real), float(z.imag)] for z in row] for row in self.U],
-        }
 
 
 def _check_finite(U: np.ndarray, what: str) -> None:
@@ -148,11 +133,11 @@ def piecewise_exp(path: GeneratorPath, s: float, t: float,
     d = (t - s) / n
     U = np.eye(path.dim, dtype=complex)
     if d == 0.0:
-        return EvolutionResult(U, s, t, 0, 0.0, "piecewise")
+        return EvolutionResult(U, 0, "piecewise")
     for i in range(n):
         U = expm(d * path(s + i * d)) @ U
     _check_finite(U, "piecewise product")
-    return EvolutionResult(U, s, t, n, None, "piecewise")
+    return EvolutionResult(U, n, "piecewise")
 
 
 def _segments(knots, s: float, t: float) -> list[tuple[float, float]]:
@@ -238,20 +223,16 @@ def ode_exp(path: GeneratorPath, s: float, t: float,
     of fields, the generator is applied by real level blocks.  Integration
     restarts at the path's knots: interpolated coefficient paths are only
     piecewise smooth, and stepping across a kink costs the solver two
-    orders of local accuracy.  The result carries ``tol`` in ``meta``;
-    ``errest`` is None, because the solver controls only its local error.
+    orders of local accuracy.  On t == s there is no segment to step: U is
+    I, with no steps and no evaluations.
     """
     if t < s:
         raise ArgumentError("need s <= t")
     if tol <= 0:
         raise ArgumentError("tolerance must be positive")
-    if t == s:
-        return EvolutionResult(np.eye(path.dim, dtype=complex), s, t, 0, None,
-                               f"ode:{method}", meta={"nfev": 0, "tol": tol})
     U, steps, nfev, _ = _solve(path, s, t, tol, method)
     _check_finite(U, "ode integration")
-    return EvolutionResult(U, s, t, steps, None, f"ode:{method}",
-                           meta={"nfev": nfev, "tol": tol})
+    return EvolutionResult(U, steps, f"ode:{method}", meta={"nfev": nfev})
 
 
 def flow_residual(path: GeneratorPath, s: float, r: float, t: float,
@@ -320,28 +301,3 @@ def parameter_derivative(family: Callable[[float], GeneratorPath], p: float,
     U_minus = ode_exp(minus, 0.0, 1.0, tol).U
     D_fd = (U_plus - U_minus) / (2.0 * delta)
     return D_int, D_fd
-
-
-def growth_bound_check(path: GeneratorPath, omega: float,
-                       samples: tuple[tuple[float, float], ...],
-                       vectors: np.ndarray,
-                       tol: float = DEFAULT_ODE_TOL) -> dict:
-    """Margins of ||U(t,s) v|| <= e^{omega (t-s)} ||v|| on supplied vectors.
-
-    ``vectors`` is a (count, dim) array; the caller restricts support to the
-    protected levels, where the compressed dynamics is faithful.  Positive
-    margin = violation.  Reports the worst margin and the per-sample table.
-    """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    rows = []
-    worst = -np.inf
-    for s, t in samples:
-        U = ode_exp(path, s, t, tol).U
-        amp = float(np.exp(omega * (t - s)))
-        vnorms = np.linalg.norm(vectors, axis=1)
-        unorms = np.linalg.norm(vectors @ U.T, axis=1)
-        margins = unorms - amp * vnorms
-        m = float(margins.max())
-        rows.append({"s": s, "t": t, "margin": m})
-        worst = np.maximum(worst, m)
-    return {"omega": omega, "margin": float(worst), "samples": rows}

@@ -28,10 +28,10 @@ structural laws that hold exactly before truncation:
 
 ``transport_field`` integrates the field-transport equation
 f'(t) = [X(t), f(t)] in mode-coefficient space (the bracket is a mode
-convolution); ``mobius_overlap`` compares the closed-form squared norm of
-exponentiated lowering acting on a primary vector with its partial sums;
-``contraction_check`` bounds operator growth by the exponentiated
-expectation bound of the generator fields.
+convolution), with the central pairing that ``segal_residual`` needs
+accumulated in the same solve; ``mobius_overlap`` compares the
+closed-form squared norm of exponentiated lowering acting on a primary
+vector with its partial sums.
 
 Protected blocks: a residual whose operators involve mode content up to
 M is measured on the span of levels <= N - 2M, which level leakage from
@@ -46,7 +46,7 @@ what makes the scan decrease).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -59,7 +59,7 @@ from .errors import ArgumentError, NotInwardError, TruncationError
 from .evolve import (DEFAULT_ODE_TOL, EvolutionResult, GeneratorPath,
                      _segments, _sweep, ode_exp)
 from .field import (FieldPath, VectorField, energy_bound_constant, field_norm,
-                    pi_field, qei_bound)
+                    pi_field)
 from .virmod import ModuleData, random_protected_vector
 
 #: relative l1 floor below which transported mode coefficients are dropped
@@ -111,10 +111,10 @@ class RepresentedAnnulus:
     """An annulus element realized as a dense operator on a truncated module.
 
     U is z times the time-ordered exponential of the generator path's
-    matrices; ``result`` holds that exponential (without z) and the
-    metadata of the solve of its non-diagonal factor, which makes it
-    reproducible.  ``hn_report`` measures the operator on the scale of
-    weighted graded norms and compares with the a priori growth bound
+    matrices; ``result`` holds that exponential (without z) and the step
+    and evaluation counts of the solve of its non-diagonal factor.
+    ``hn_report`` measures the operator on the scale of weighted graded
+    norms and compares with the a priori growth bound
     exp(C * sup_t ||X(t)||_{n + 5/2}) with C = 1 + sqrt(2) + sqrt(c/12);
     the sup is taken over knots and midpoints (exact for knot-linear
     paths, sampled otherwise).
@@ -126,8 +126,6 @@ class RepresentedAnnulus:
     module: ModuleData
     U: np.ndarray
     result: EvolutionResult
-    tol: float
-    meta: dict = dataclass_field(default_factory=dict)
 
     def weighted_norm(self, n: float) -> float:
         """Operator norm of D^n U D^-n with D = 1 + L_0."""
@@ -201,7 +199,7 @@ def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
                      method="interaction:" + V.method)
     return RepresentedAnnulus(element=element, path=path, z=scalar,
                               module=module, U=scalar * result.U,
-                              result=result, tol=tol)
+                              result=result)
 
 
 def _ensure_represented(E, module: ModuleData, tol: float) -> RepresentedAnnulus:
@@ -327,17 +325,23 @@ def _window_pairing(acoeffs: dict, y: np.ndarray, W: int, c: float) -> complex:
     return complex(c) * total / 12.0
 
 
-def _transport_solve(f0: VectorField, path: FieldPath, tol: float,
-                     c: float | None = None,
-                     tail_tol: float = TRANSPORT_TAIL_TOL):
-    """Shared core: returns (FieldPath of f(t), pairing integral or None).
+def transport_field(f0: VectorField, path: FieldPath,
+                    tol: float = DEFAULT_ODE_TOL, c: float | None = None,
+                    tail_tol: float = TRANSPORT_TAIL_TOL):
+    """Transport of a field along a generator path: f' = [X(t), f].
 
-    The reporting half-width is 2 * (path modes + f0 modes) plus a fixed
-    four-mode apron: mass decays geometrically past the nominal width on
-    any transport that a window method can resolve at all, so the apron
-    separates healthy decay from genuine runaway.  Integration runs on a
-    further padded window so that outside mass is measured honestly
-    rather than piling up against the integration boundary.
+    Returns (FieldPath of f(t), pairing), where the pairing is the time
+    integral of the central pairing of X(t) with f(t) at central charge
+    ``c``, or None when ``c`` is None.  The bracket in mode coefficients
+    is the convolution (f')_k = sum_m (2m - k) a_m f_{k-m}.  The reporting
+    half-width is 2 * (path modes + f0 modes) plus a fixed four-mode
+    apron: mass decays geometrically past the nominal width on any
+    transport that a window method can resolve at all, so the apron
+    separates healthy decay from genuine runaway.  Mass escaping the
+    window raises TruncationError rather than silently truncating the
+    transport.  Integration runs on a further padded window so that
+    outside mass is measured honestly rather than piling up against the
+    integration boundary.
     """
     M = path.maxmode
     F = f0.maxmode
@@ -385,21 +389,6 @@ def _transport_solve(f0: VectorField, path: FieldPath, tol: float,
     return fpath, pairing
 
 
-def transport_field(f0: VectorField, path: FieldPath,
-                    tol: float = DEFAULT_ODE_TOL,
-                    tail_tol: float = TRANSPORT_TAIL_TOL) -> FieldPath:
-    """Transport of a field along a generator path: f' = [X(t), f].
-
-    The bracket in mode coefficients is the convolution
-    (f')_k = sum_m (2m - k) a_m f_{k-m}, integrated adaptively on a mode
-    window of half-width 2 * (path modes + f0 modes) plus an apron; mass
-    escaping the window raises, rather than silently truncating the
-    transport.
-    """
-    fpath, _ = _transport_solve(f0, path, tol, c=None, tail_tol=tail_tol)
-    return fpath
-
-
 def segal_residual(E, f0: VectorField, module: ModuleData,
                    tol: float = DEFAULT_ODE_TOL,
                    tail_tol: float = TRANSPORT_TAIL_TOL,
@@ -413,9 +402,9 @@ def segal_residual(E, f0: VectorField, module: ModuleData,
     path, or an already-represented element (reused without re-solving).
     """
     R = _ensure_represented(E, module, tol)
-    fpath, pairing = _transport_solve(f0, R.path, tol,
-                                      c=float(module.params.c),
-                                      tail_tol=tail_tol)
+    fpath, pairing = transport_field(f0, R.path, tol,
+                                     c=float(module.params.c),
+                                     tail_tol=tail_tol)
     f1 = fpath.fields[-1]
     if f1.maxmode > module.lmax:
         keep = {n: a for n, a in f1.coeffs.items() if abs(n) <= module.lmax}
@@ -503,27 +492,3 @@ def mobius_overlap(w: complex, h, nmax: int = 20):
     partials = np.cumsum(terms)
     limit = float((1.0 - aw2) ** (-2.0 * float(h)))
     return partials, limit
-
-
-def contraction_check(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
-                      nvec: int = 8, seed: int = 0) -> dict:
-    """Growth of the represented operator against the expectation bound.
-
-    For inward paths the operator should contract up to the exponentiated
-    worst expectation bound of the generator fields: ||U v|| <=
-    |z| exp(max_t mu(X(t))) ||v|| on protected vectors.  The max is
-    sampled at knots and midpoints.  Returns the worst measured ratio,
-    the bound, and the verdict.
-    """
-    R = _ensure_represented(E, module, tol)
-    mu = max(qei_bound(R.path.field_at(t), float(module.params.c))
-             for t in _knots_and_midpoints(R.path))
-    budget = 2 * R.path.maxmode
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(max(1, nvec)):
-        v = random_protected_vector(module, budget, rng)
-        worst = max(worst, float(np.linalg.norm(R.U @ v)))
-    bound = abs(R.z) * math.exp(mu)
-    return {"max_ratio": worst, "mu": mu, "bound": bound,
-            "ok": bool(worst <= bound * (1.0 + 1e-8) + 1e-12)}

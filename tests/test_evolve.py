@@ -1,6 +1,5 @@
 """Time-ordered exponentials: product scheme, ODE engine, identities."""
 
-import json
 import threading
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from virann.annulus import standard_element
 from virann.errors import ArgumentError, EvolutionError
 from virann.evolve import (
     DEFAULT_ODE_TOL,
@@ -17,9 +15,7 @@ from virann.evolve import (
     _sweep,
     adjoint_evolution_check,
     flow_residual,
-    growth_bound_check,
     ode_exp,
-    parameter_derivative,
     piecewise_exp,
 )
 from virann.field import (
@@ -29,10 +25,10 @@ from virann.field import (
     pi_field,
     random_inward_path,
 )
-from virann.rep import represent
 from virann.verify import (
     derivative_agreement_gaps,
     derivative_closed_form_gap,
+    derivative_constant_family_gap,
     growth_margin,
     product_limit_gap,
 )
@@ -102,6 +98,12 @@ def test_ode_zero_path_gives_identity():
     assert np.abs(res.U - np.eye(4)).max() < 1e-12
     with pytest.raises(ArgumentError, match="unknown method"):
         ode_exp(gp, 0.0, 1.0, method="BDF")
+
+
+def test_ode_empty_interval_is_the_identity_without_steps(noncommuting_path):
+    res = ode_exp(noncommuting_path, 0.5, 0.5)
+    assert np.array_equal(res.U, np.eye(noncommuting_path.dim))
+    assert (res.stepcount, res.meta["nfev"]) == (0, 0)
 
 
 def test_ode_constant_diagonal_closed_form(mod6):
@@ -223,27 +225,6 @@ def test_flow_property(noncommuting_path):
         assert flow_residual(noncommuting_path, 0.0, r, 1.0) < 1e-10
 
 
-def test_result_serialization(mod6):
-    gp = GeneratorPath.constant(np.log(0.5) * mod6.lmat(0))
-    res = ode_exp(gp, 0.0, 1.0, 1e-10)
-    doc = res.to_dict()
-    assert doc["method"].startswith("ode")
-    got = np.array([[complex(re, im) for re, im in row] for row in doc["U"]])
-    assert np.abs(got - res.U).max() == 0.0
-
-
-def test_result_dicts_are_strict_json(mod6):
-    gp = GeneratorPath.constant(np.log(0.5) * mod6.lmat(0))
-    interaction = represent(standard_element(0.5), mod6).result
-    results = [ode_exp(gp, 0.0, 1.0), piecewise_exp(gp, 0.0, 1.0, 4),
-               interaction]
-    for res in results:
-        json.dumps(res.to_dict(), allow_nan=False)
-    assert [r.to_dict()["errest"] for r in results] == [None, None, None]
-    assert [r.to_dict()["tol"] for r in results] == [
-        DEFAULT_ODE_TOL, None, DEFAULT_ODE_TOL]
-
-
 # ---------------------------------------------------------------------------
 # adjoint reversal
 
@@ -276,14 +257,7 @@ def test_derivative_diagonal_family_closed_form(mod6):
 
 
 def test_derivative_parameter_independent_family(mod6):
-    A = pi_field(VectorField({1: 0.1, -2: 0.05}), mod6)
-
-    def fam(p):
-        return GeneratorPath.constant(A)
-
-    D_int, D_fd = parameter_derivative(fam, 0.3, 1e-4)
-    assert np.abs(D_int).max() < 1e-11
-    assert np.abs(D_fd).max() < 1e-11
+    assert derivative_constant_family_gap(mod6, DEFAULT_ODE_TOL) < 1e-11
 
 
 def test_derivative_two_mode_family_second_order(mod6):
@@ -297,21 +271,20 @@ def test_derivative_two_mode_family_second_order(mod6):
 
 
 def test_rotation_is_protected_isometry(mod6, rng):
-    gp = GeneratorPath.from_field_path(
-        FieldPath.constant_path(mode_field(0, 1j)), mod6)
+    # mu = 0 on a rotation, and ||U v|| = ||v||
+    p = FieldPath.constant_path(mode_field(0, 1j))
     vecs = np.array([random_protected_vector(mod6, 2, rng) for _ in range(20)])
-    rep = growth_bound_check(gp, 0.0, ((0.0, 1.0), (0.2, 0.7)), vecs)
-    assert abs(rep["margin"]) < 1e-9
+    assert abs(growth_margin(mod6, p, vecs, DEFAULT_ODE_TOL)) < 1e-9
 
 
 def test_pure_scaling_contracts(mod6):
-    gp = GeneratorPath.from_field_path(
-        FieldPath.constant_path(mode_field(0, np.log(0.5))), mod6)
-    v = np.zeros(mod6.dim, dtype=complex)
-    v[0] = 1.0
-    rep = growth_bound_check(gp, 0.0, ((0.0, 1.0),), v[None, :])
-    # ||Uv|| = 0.5^h < ||v||, so the margin is strictly negative
-    assert rep["margin"] == pytest.approx(0.5**0.5 - 1.0, abs=1e-9)
+    # mu = 0 on a scaling, and ||U(t,s) v|| = 0.5^{h (t-s)} < ||v|| on the
+    # lowest-weight vector; the shorter interval (0.1, 0.6) is the worse
+    p = FieldPath.constant_path(mode_field(0, np.log(0.5)))
+    v = np.zeros((1, mod6.dim))
+    v[0, 0] = 1.0
+    assert growth_margin(mod6, p, v, DEFAULT_ODE_TOL) == pytest.approx(
+        0.5**0.25 - 1.0, abs=1e-9)
 
 
 def test_inward_paths_obey_mu_rate(mod6, rng):

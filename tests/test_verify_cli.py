@@ -393,6 +393,18 @@ class TestRunConfig:
         assert ra["qei-numerical-range"] != rb["qei-numerical-range"]
         assert ra["qei-analytic-spot"] == rb["qei-analytic-spot"]
 
+    @pytest.mark.parametrize("N", range(8))
+    def test_small_cutoffs_omit_rows_instead_of_raising(self, N):
+        rep = verify.run_config({"module": {"c": 2, "h": 0.5, "N": N}},
+                                workers=1)
+        assert rep["config"]["suites"] == list(verify.SUITES)
+        assert rep["results"]
+
+    def test_schema_suite_enum_is_the_registry(self):
+        schema = cli.load_schema("run_config")
+        assert schema["properties"]["suites"]["items"]["enum"] == list(
+            verify.SUITES)
+
     def test_cocycle_below_the_wiggle_budget_omits_that_row(self):
         rep = verify.run_config({"module": {"c": 2, "h": 0.5, "N": 10},
                                  "suites": ["cocycle"]})
