@@ -34,8 +34,6 @@ from .annulus import (
     identity_element,
     radial_framing,
     standard_element,
-    validate_framing,
-    witt_compatibility_residual,
 )
 from .evolve import (
     EvolutionResult,
@@ -82,11 +80,9 @@ from .virmod import (
     VirasoroOracle,
     build_module,
     check_unitarity,
-    enumerate_basis,
     gram_matrix,
     module_from_dict,
     module_to_dict,
-    partitions_of,
     random_protected_vector,
     sobolev_norm,
 )

@@ -118,7 +118,7 @@ def _interior_point(framing: Framing) -> complex:
     return complex(framing.grid[-1].mean())
 
 
-def validate_framing(f: Framing, tol: float = 1e-8) -> dict:
+def validate_framing(f: Framing) -> dict:
     """Diagnostics: tangent size, Jacobian sign, windings, inwardness margin.
 
     Never raises; callers decide what to do with a failing report.
@@ -142,8 +142,8 @@ def validate_framing(f: Framing, tol: float = 1e-8) -> dict:
         report["inward_margin"] = np.inf
         report["extraction_error"] = str(err)
     report["ok"] = bool(
-        report["min_tangent"] > tol * scale
-        and report["min_jacobian"] > -tol * scale * scale
+        report["min_tangent"] > 1e-8 * scale
+        and report["min_jacobian"] > -1e-8 * scale * scale
         and report["winding_out"] == 1
         and report["winding_in"] == 1
         and report["inward_margin"] <= EXTRACT_INWARD_TOL
@@ -152,8 +152,7 @@ def validate_framing(f: Framing, tol: float = 1e-8) -> dict:
 
 
 def framing_path(f: Framing, maxmode: int = DEFAULT_MAXMODE,
-                 tail_tol: float = DEFAULT_TAIL_TOL,
-                 inward_tol: float = EXTRACT_INWARD_TOL) -> FieldPath:
+                 tail_tol: float = DEFAULT_TAIL_TOL) -> FieldPath:
     """Generator path of a framing.
 
     Per knot: h_t by (one-sided at the ends, centered inside) differences
@@ -161,7 +160,8 @@ def framing_path(f: Framing, maxmode: int = DEFAULT_MAXMODE,
     theta-function whose Fourier modes give the field coefficients
     a_n = i * ratio_hat(n).  Path time runs opposite to the row index, so
     the row at t = 1 seeds the path at time 0.  Modes beyond ``maxmode``
-    must carry at most ``tail_tol`` of the total l1 mass.
+    must carry at most ``tail_tol`` of the total l1 mass, and the path
+    may leave the inward cone by at most ``EXTRACT_INWARD_TOL``.
     """
     G = f.G
     if G <= 4 * maxmode:
@@ -203,7 +203,7 @@ def framing_path(f: Framing, maxmode: int = DEFAULT_MAXMODE,
     fields.reverse()
     path = FieldPath(knots, fields)
     margin = path.max_inward_margin()
-    if margin > inward_tol:
+    if margin > EXTRACT_INWARD_TOL:
         raise NotInwardError(
             f"extracted path leaves the inward cone (margin {margin:.3e})",
             margin=margin,
@@ -228,10 +228,10 @@ class AnnulusElement:
     z: complex = 1.0 + 0j
     path: FieldPath | None = None
 
-    def generator_path(self, **extract_kwargs) -> FieldPath:
+    def generator_path(self) -> FieldPath:
         if self.path is not None:
             return self.path
-        return framing_path(self.framing, **extract_kwargs)
+        return framing_path(self.framing)
 
     def to_dict(self) -> dict:
         doc = self.framing.to_dict()
@@ -266,11 +266,11 @@ def standard_element(q: complex, G: int = DEFAULT_G,
     return AnnulusElement(Framing(grid, knots), z=1.0, path=path)
 
 
-def identity_element(G: int = DEFAULT_G, K: int = 2) -> AnnulusElement:
-    """Zero-width annulus: constant framing at the unit circle, zero path."""
-    knots = np.linspace(0.0, 1.0, K + 1)
-    theta = 2.0 * np.pi * np.arange(G) / G
-    grid = np.tile(np.exp(1j * theta), (K + 1, 1))
+def identity_element() -> AnnulusElement:
+    """Zero-width annulus: three unit-circle rows, zero path."""
+    knots = np.linspace(0.0, 1.0, 3)
+    theta = 2.0 * np.pi * np.arange(DEFAULT_G) / DEFAULT_G
+    grid = np.tile(np.exp(1j * theta), (3, 1))
     return AnnulusElement(Framing(grid, knots), z=1.0,
                           path=FieldPath.constant_path(VectorField({})))
 
@@ -283,37 +283,33 @@ def identity_element(G: int = DEFAULT_G, K: int = 2) -> AnnulusElement:
 FLOW_NEG_CAP = 24
 
 
-def _spectral_filter(y: np.ndarray, neg_cap: int = FLOW_NEG_CAP,
-                     floor: float = 1e-13,
-                     clip_tol: float = 1e-7) -> np.ndarray:
+def _spectral_filter(y: np.ndarray) -> np.ndarray:
     """Project a sampled curve onto its resolved, above-noise modes.
 
-    Keeps modes in [-neg_cap, G/3]: the stable (positive) side is capped
-    only against aliasing, the unstable side hard.  Raises when clipped
-    mass exceeds ``clip_tol`` of the total, rather than silently losing
-    signal; the tolerance bounds the stored geometry's fidelity only,
-    downstream operator solves use the attached exact path.
+    Keeps modes in [-FLOW_NEG_CAP, G/3]: the stable (positive) side is
+    capped only against aliasing, the unstable side hard.  Modes below
+    1e-13 of the total l1 mass are zeroed.  Raises when clipped mass
+    exceeds 1e-7 of the total, rather than silently losing signal; that
+    tolerance bounds the stored geometry's fidelity only, downstream
+    operator solves use the attached exact path.
     """
     hat = np.fft.fft(y)
     total = float(np.abs(hat).sum())
     modes = _theta_modes(y.size)
-    drop = (modes < -neg_cap) | (modes > y.size // 3)
+    drop = (modes < -FLOW_NEG_CAP) | (modes > y.size // 3)
     clipped = float(np.abs(hat[drop]).sum())
-    if clipped > clip_tol * total:
+    if clipped > 1e-7 * total:
         raise GridError(
             f"curve lost spectral resolution (clipped mass {clipped/total:.2e};"
             " reduce the field amplitude or flow depth)"
         )
-    hat[np.abs(hat) <= floor * total] = 0.0
+    hat[np.abs(hat) <= 1e-13 * total] = 0.0
     hat[drop] = 0.0
     return np.fft.ifft(hat)
 
 
 def element_from_path(path: FieldPath, G: int = DEFAULT_G, K: int = DEFAULT_K,
-                      start_curve: np.ndarray | None = None,
-                      z: complex = 1.0, tol: float = 1e-12,
-                      inward_tol: float = EXTRACT_INWARD_TOL,
-                      clip_tol: float = 1e-7) -> AnnulusElement:
+                      start_curve: np.ndarray | None = None) -> AnnulusElement:
     """Framing swept out by a generator path, with the exact path attached.
 
     Inverse of ``framing_path`` up to differencing error: integrates the
@@ -325,11 +321,13 @@ def element_from_path(path: FieldPath, G: int = DEFAULT_G, K: int = DEFAULT_K,
     amplify roundoff by e^(mode x field strength).  ``start_curve``
     chains elements into composable pairs: flowing the second factor
     from the incoming curve of the first makes the junction match
-    exactly.  Each row is one RK45 solve of ``evolve._sweep``; a failed
-    step raises EvolutionError, as every other solve does.
+    exactly.  The path may leave the inward cone by at most
+    ``EXTRACT_INWARD_TOL``.  Each row is one RK45 solve of
+    ``evolve._sweep`` to tolerance 1e-12; a failed step raises
+    EvolutionError, as every other solve does.  The scalar z is 1.
     """
     margin = path.max_inward_margin()
-    if margin > inward_tol:
+    if margin > EXTRACT_INWARD_TOL:
         raise NotInwardError(
             f"path leaves the inward cone (margin {margin:.3e})", margin=margin
         )
@@ -349,11 +347,11 @@ def element_from_path(path: FieldPath, G: int = DEFAULT_G, K: int = DEFAULT_K,
                     1.0 - np.asarray(path.knots, dtype=float)[::-1])
     ks = ks[np.concatenate([[True], np.diff(ks) > 1e-9])]
     ks[0], ks[-1] = 0.0, 1.0
-    rows = [_spectral_filter(start, clip_tol=clip_tol)]
+    rows = [_spectral_filter(start)]
     for a, b in zip(ks[:-1], ks[1:]):
-        y, *_ = _sweep(rhs, [(a, b)], rows[-1], tol, "RK45")
-        rows.append(_spectral_filter(y, clip_tol=clip_tol))
-    return AnnulusElement(Framing(np.array(rows), ks), z=complex(z), path=path)
+        y, *_ = _sweep(rhs, [(a, b)], rows[-1], 1e-12, "RK45")
+        rows.append(_spectral_filter(y))
+    return AnnulusElement(Framing(np.array(rows), ks), path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +460,15 @@ def _path_from_dict(doc: dict) -> FieldPath:
     return FieldPath.from_dict(doc)
 
 
-def compose(E1: AnnulusElement, E2: AnnulusElement, tol: float = 1e-8,
-            width: float = 0.1) -> AnnulusElement:
+def compose(E1: AnnulusElement, E2: AnnulusElement) -> AnnulusElement:
     """Glue E2's annulus (traversed first) onto E1 along matching curves.
 
     Precondition: E1's incoming curve equals E2's outgoing curve up to one
     overall complex factor lam (re-embedding an annulus by z -> lam z does
-    not change it, and leaves the generator path untouched).  The composite
-    framing stacks E1's rows on [0, 1/2] and lam * E2's on [1/2, 1]; the
-    composite path runs E2 first with sitting instants at the junction;
-    scalars multiply.
+    not change it, and leaves the generator path untouched), to 1e-8 of
+    the curve's scale.  The composite framing stacks E1's rows on [0, 1/2]
+    and lam * E2's on [1/2, 1]; the composite path runs E2 first with
+    sitting instants at the junction; scalars multiply.
     """
     f1, f2 = E1.framing, E2.framing
     if f1.G != f2.G:
@@ -484,10 +481,10 @@ def compose(E1: AnnulusElement, E2: AnnulusElement, tol: float = 1e-8,
     lam = complex(lam_samples.mean())
     scale = float(np.abs(inner).max())
     mismatch = float(np.abs(inner - lam * outer).max())
-    if mismatch > tol * max(scale, 1.0):
+    if mismatch > 1e-8 * max(scale, 1.0):
         raise GridError(
             f"boundary curves do not match: residual {mismatch:.3e} "
-            f"(tol {tol:.1e}) after alignment by {lam:.6g}"
+            f"(tol 1.0e-08) after alignment by {lam:.6g}"
         )
 
     k1 = 0.5 * f1.knots
@@ -500,8 +497,7 @@ def compose(E1: AnnulusElement, E2: AnnulusElement, tol: float = 1e-8,
     # mode-limited at the extraction defaults yield a composite without an
     # attached path (callers can extract with explicit settings)
     try:
-        path = CompositeFieldPath(E2.generator_path(), E1.generator_path(),
-                                  width=width)
+        path = CompositeFieldPath(E2.generator_path(), E1.generator_path())
     except (TruncationError, NotInwardError, GridError):
         path = None
     return AnnulusElement(framing, z=complex(E1.z) * complex(E2.z), path=path)
@@ -618,15 +614,14 @@ def homotopy_cocycle(H: FramingHomotopy, c: float,
     return complex(np.trapezoid(inner, H.uknots))
 
 
-def witt_compatibility_residual(H: FramingHomotopy,
-                                maxmode: int = DEFAULT_MAXMODE) -> float:
+def witt_compatibility_residual(H: FramingHomotopy) -> float:
     """Max coefficient residual of dY/dt - dX/du = [X, Y] on the grid.
 
     X, Y are the generator fields (minus the raw ratios) in stored
     coordinates.  Finite differences in t and u, so the residual is
     O(knot spacing squared) for smooth homotopies.
     """
-    Xr, Yr = _homotopy_ratio_fields(H, maxmode)
+    Xr, Yr = _homotopy_ratio_fields(H)
     nu, nt = len(Xr), len(Xr[0])
     X = [[(-1.0) * Xr[l][i] for i in range(nt)] for l in range(nu)]
     Y = [[(-1.0) * Yr[l][i] for i in range(nt)] for l in range(nu)]
@@ -738,9 +733,8 @@ class BigonFactors:
 
 def bigon_factor(gamma_in: np.ndarray, gamma_out: np.ndarray,
                  I1: tuple[float, float], I2: tuple[float, float],
-                 base: tuple[np.ndarray, np.ndarray] | None = None,
-                 base_delta: np.ndarray | None = None,
-                 K: int = DEFAULT_K) -> BigonFactors:
+                 base: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> BigonFactors:
     """Split the annulus between gamma_in and gamma_out into two factors
     whose deviations from a reference are localized in the given arcs.
 
@@ -748,9 +742,9 @@ def bigon_factor(gamma_in: np.ndarray, gamma_out: np.ndarray,
         delta_A = lam_minus (gamma_in + (delta - base_in))
                 + lam_plus (gamma_out + (delta - base_out))
                 + lam_0 delta
-    of a base curve delta for a reference annulus (base_in, base_out); both
-    default to the input annulus and its log-geometric-mean curve, in which
-    case delta_A = delta.  When the boundary curves differ from the
+    of the log-geometric-mean curve delta of a reference annulus
+    (base_in, base_out), by default the input annulus, in which case
+    delta_A = delta.  When the boundary curves differ from the
     reference only inside I2 (incoming) and I1 (outgoing), the outer factor
     (delta_A, gamma_out) differs from the reference outer factor only
     inside I1 and the inner factor (gamma_in, delta_A) from the reference
@@ -763,8 +757,7 @@ def bigon_factor(gamma_in: np.ndarray, gamma_out: np.ndarray,
         raise ArgumentError("boundary curves must share the theta grid")
     G = gamma_in.size
     base_in, base_out = base if base is not None else (gamma_in, gamma_out)
-    if base_delta is None:
-        base_delta = base_out * np.exp(0.5 * np.log(base_in / base_out))
+    base_delta = base_out * np.exp(0.5 * np.log(base_in / base_out))
     lam_minus, lam_plus, lam_0 = _interval_partition(I1, I2, G)
 
     delta_A = (lam_minus * (gamma_in + (base_delta - base_in))
@@ -778,7 +771,7 @@ def bigon_factor(gamma_in: np.ndarray, gamma_out: np.ndarray,
         raise GridError("transported middle curve is not nested between "
                         "the boundary curves")
 
-    outer = AnnulusElement(radial_framing(gamma_out, delta_A, K))
-    inner = AnnulusElement(radial_framing(delta_A, gamma_in, K))
+    outer = AnnulusElement(radial_framing(gamma_out, delta_A))
+    inner = AnnulusElement(radial_framing(delta_A, gamma_in))
     return BigonFactors(outer=outer, inner=inner, delta_curve=delta_A,
                         partition=(lam_minus, lam_plus, lam_0))

@@ -172,26 +172,26 @@ def inward_margin(X: VectorField, grid: int = DEFAULT_GRID) -> float:
     return float(_mode_samples(X, grid).real.max(initial=0.0))
 
 
-def qei_bound(X: VectorField, c: float, grid: int = DEFAULT_GRID,
-              gridtol: float = DEFAULT_GRIDTOL,
-              tol: float = DEFAULT_INWARD_TOL) -> float:
+def qei_bound(X: VectorField, c: float) -> float:
     """Expectation bound mu_X = (c/24) * integral of (d/dtheta sqrt(g))^2.
 
     Here g = Im of the theta-coefficient of X, nonnegative for inward X.
     The integrand is evaluated as (g')^2 / (4g) with spectrally exact g'
     (g is a trigonometric polynomial), which extends smoothly through
-    quadratic zeros of g; at samples with g <= gridtol the removable-limit
-    value max(g'', 0)/2 is used.  Trapezoidal quadrature on the uniform
-    grid is then spectrally accurate, unlike direct differencing of
-    sqrt(g), whose kinks at zeros cost two orders of accuracy.
+    quadratic zeros of g; at samples with g <= DEFAULT_GRIDTOL the
+    removable-limit value max(g'', 0)/2 is used.  Trapezoidal quadrature
+    on a uniform grid (DEFAULT_GRID, or 8 (M + 1) past mode M = 127) is
+    then spectrally accurate, unlike direct differencing of sqrt(g), whose
+    kinks at zeros cost two orders of accuracy.  The field must be inward
+    to DEFAULT_INWARD_TOL.
     """
     M = X.maxmode
-    if grid <= 4 * M:
-        grid = max(DEFAULT_GRID, 8 * (M + 1))
+    grid = DEFAULT_GRID if 4 * M < DEFAULT_GRID else 8 * (M + 1)
     margin = inward_margin(X, grid)
-    if margin > tol:
+    if margin > DEFAULT_INWARD_TOL:
         raise NotInwardError(
-            f"field is not inward-pointing (margin {margin:.3e} > tol {tol:.3e})",
+            f"field is not inward-pointing (margin {margin:.3e} > tol "
+            f"{DEFAULT_INWARD_TOL:.3e})",
             margin=margin,
         )
 
@@ -207,7 +207,7 @@ def qei_bound(X: VectorField, c: float, grid: int = DEFAULT_GRID,
     g2 = ((-(modes.astype(float) ** 2) * ghat) @ phase).real
 
     scale = max(float(np.abs(g).max()), 1.0)
-    near_zero = g <= gridtol * scale
+    near_zero = g <= DEFAULT_GRIDTOL * scale
     integrand = np.empty(grid)
     safe = ~near_zero
     integrand[safe] = g1[safe] ** 2 / (4.0 * g[safe])
@@ -367,13 +367,13 @@ class FieldPath:
 
 
 def random_inward_field(maxmode: int, rng: np.random.Generator,
-                        amplitude: float = 1.0, margin: float = 0.0,
-                        grid: int = 1024) -> VectorField:
+                        amplitude: float = 1.0,
+                        margin: float = 0.0) -> VectorField:
     """Random field pushed into the inward cone.
 
     Draws random oscillating modes, then lowers the constant mode so that
-    Re(sum a_n e^{in theta}) <= -margin * amplitude on a fine grid.  The
-    cone is scale-invariant, so ``amplitude`` simply scales the result.
+    Re(sum a_n e^{in theta}) <= -margin * amplitude on a 1024-point grid.
+    The cone is scale-invariant, so ``amplitude`` simply scales the result.
     """
     osc = {}
     for n in range(-maxmode, maxmode + 1):
@@ -383,24 +383,24 @@ def random_inward_field(maxmode: int, rng: np.random.Generator,
         osc[n] = complex(re, im)
     X = VectorField(osc)
     # fine-grid max plus a slack for the continuum max between samples
-    peak = inward_margin(X, grid) * (1.0 + 10.0 / grid) + 1e-13
+    peak = inward_margin(X, 1024) * (1.0 + 10.0 / 1024) + 1e-13
     osc[0] = complex(rng.standard_normal() * 0.0 - peak - margin,
                      rng.standard_normal())
     return amplitude * VectorField(osc)
 
 
 def random_inward_path(maxmode: int, rng: np.random.Generator, knots: int = 5,
-                       amplitude: float = 1.0, wiggle: float = 0.3,
-                       margin: float = 0.0) -> FieldPath:
+                       amplitude: float = 1.0,
+                       wiggle: float = 0.3) -> FieldPath:
     """Piecewise-linear inward path: base inward field plus small inward wiggles.
 
     Convex combinations of inward fields stay inward, so linear
     interpolation between inward knot fields is inward for every t.
     """
-    base = random_inward_field(maxmode, rng, amplitude=1.0, margin=margin)
+    base = random_inward_field(maxmode, rng)
     fields = []
     for _ in range(knots):
-        w = random_inward_field(maxmode, rng, amplitude=wiggle, margin=0.0)
+        w = random_inward_field(maxmode, rng, amplitude=wiggle)
         fields.append(amplitude * (base + w))
     ts = np.linspace(0.0, 1.0, knots)
     return FieldPath(ts, fields)

@@ -113,8 +113,8 @@ class RepresentedAnnulus:
     U is z times the time-ordered exponential of the generator path's
     matrices; ``result`` holds that exponential (without z) and the step
     and evaluation counts of the solve of its non-diagonal factor.
-    ``hn_report`` measures the operator on the scale of weighted graded
-    norms and compares with the a priori growth bound
+    ``hn_report`` measures the operator in the weighted graded norms
+    n = 0, 1, 2 and compares with the a priori growth bound
     exp(C * sup_t ||X(t)||_{n + 5/2}) with C = 1 + sqrt(2) + sqrt(c/12);
     the sup is taken over knots and midpoints (exact for knot-linear
     paths, sampled otherwise).
@@ -136,10 +136,10 @@ class RepresentedAnnulus:
         return max(field_norm(self.path.field_at(t), sobolev_index)
                    for t in _knots_and_midpoints(self.path))
 
-    def hn_report(self, ns=(0, 1, 2)) -> dict:
+    def hn_report(self) -> dict:
         C = energy_bound_constant(float(self.module.params.c))
         out = {}
-        for n in ns:
+        for n in (0, 1, 2):
             norm = self.weighted_norm(n)
             bound = abs(self.z) * math.exp(C * self._field_sup(n + 2.5))
             out[int(n)] = {"norm": norm, "bound": bound,
@@ -167,13 +167,12 @@ def _interaction_generator(path: FieldPath,
 
 
 def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
-              z: complex | None = None,
-              inward_tol: float = EXTRACT_INWARD_TOL) -> RepresentedAnnulus:
+              z: complex | None = None) -> RepresentedAnnulus:
     """Operator of an annulus element (or a generator path with scalar z).
 
     Preconditions: the path's modes fit the module's matrix range, and
-    the path stays in the inward cone.  The operator is
-    z e^{phi(1) L_0} V with phi the exact integral of a_0 (``phase``).
+    the path stays in the inward cone (to ``EXTRACT_INWARD_TOL``).  The
+    operator is z e^{phi(1) L_0} V with phi the exact integral of a_0.
     The diagonal factor is a row scaling by exp(phi(1) (h + k)).
     ``ode_exp`` solves V' = B~(t) V adaptively on knot-aligned segments
     to the requested tolerance, applying B~(t) to V by the module's real
@@ -188,7 +187,7 @@ def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
             f"{module.lmax}"
         )
     margin = path.max_inward_margin()
-    if margin > inward_tol:
+    if margin > EXTRACT_INWARD_TOL:
         raise NotInwardError(
             f"generator path leaves the inward cone (margin {margin:.3e})",
             margin=margin,
@@ -326,8 +325,7 @@ def _window_pairing(acoeffs: dict, y: np.ndarray, W: int, c: float) -> complex:
 
 
 def transport_field(f0: VectorField, path: FieldPath,
-                    tol: float = DEFAULT_ODE_TOL, c: float | None = None,
-                    tail_tol: float = TRANSPORT_TAIL_TOL):
+                    tol: float = DEFAULT_ODE_TOL, c: float | None = None):
     """Transport of a field along a generator path: f' = [X(t), f].
 
     Returns (FieldPath of f(t), pairing), where the pairing is the time
@@ -338,10 +336,10 @@ def transport_field(f0: VectorField, path: FieldPath,
     apron: mass decays geometrically past the nominal width on any
     transport that a window method can resolve at all, so the apron
     separates healthy decay from genuine runaway.  Mass escaping the
-    window raises TruncationError rather than silently truncating the
-    transport.  Integration runs on a further padded window so that
-    outside mass is measured honestly rather than piling up against the
-    integration boundary.
+    window beyond TRANSPORT_TAIL_TOL of the total raises TruncationError
+    rather than silently truncating the transport.  Integration runs on a
+    further padded window so that outside mass is measured honestly
+    rather than piling up against the integration boundary.
     """
     M = path.maxmode
     F = f0.maxmode
@@ -374,7 +372,7 @@ def transport_field(f0: VectorField, path: FieldPath,
         if total > 0:
             out = float(np.abs(coeffs[:Wi - W]).sum()
                         + np.abs(coeffs[Wi + W + 1:]).sum())
-            if out > tail_tol * total:
+            if out > TRANSPORT_TAIL_TOL * total:
                 raise TruncationError(
                     f"transported field carries {out/total:.2e} of its mass "
                     f"beyond the mode window (half-width {W})"
@@ -391,7 +389,6 @@ def transport_field(f0: VectorField, path: FieldPath,
 
 def segal_residual(E, f0: VectorField, module: ModuleData,
                    tol: float = DEFAULT_ODE_TOL,
-                   tail_tol: float = TRANSPORT_TAIL_TOL,
                    budget: int | None = None) -> float:
     """Commutation-relation mismatch ||(T pi(f0) - pi(f1) T - w T) P||.
 
@@ -403,8 +400,7 @@ def segal_residual(E, f0: VectorField, module: ModuleData,
     """
     R = _ensure_represented(E, module, tol)
     fpath, pairing = transport_field(f0, R.path, tol,
-                                     c=float(module.params.c),
-                                     tail_tol=tail_tol)
+                                     c=float(module.params.c))
     f1 = fpath.fields[-1]
     if f1.maxmode > module.lmax:
         keep = {n: a for n, a in f1.coeffs.items() if abs(n) <= module.lmax}
@@ -433,15 +429,15 @@ def segal_residual(E, f0: VectorField, module: ModuleData,
 
 def holomorphy_residual(family: Callable[[complex], "AnnulusElement | FieldPath"],
                         module: ModuleData, eps: float,
-                        tol: float = DEFAULT_ODE_TOL, at: complex = 0.0j,
-                        nvec: int = 3, seed: int = 0) -> float:
+                        tol: float = DEFAULT_ODE_TOL,
+                        at: complex = 0.0j) -> float:
     """Size of the conjugate Wirtinger derivative of m -> represent(family(m)).
 
     Central differences at four stencil points m +- eps, m +- i eps
     estimate (d/dRe + i d/dIm)/2 applied to the operator; the result is
-    applied to random protected vectors and the largest norm returned.
-    O(eps^2) for holomorphic coefficient dependence, order one when the
-    dependence is antiholomorphic.
+    applied to three random protected vectors (generator seed 0) and the
+    largest norm returned.  O(eps^2) for holomorphic coefficient
+    dependence, order one when the dependence is antiholomorphic.
     """
     if eps <= 0:
         raise ArgumentError("stencil radius must be positive")
@@ -451,10 +447,10 @@ def holomorphy_residual(family: Callable[[complex], "AnnulusElement | FieldPath"
     D = (Rs[0].U - Rs[1].U + 1j * (Rs[2].U - Rs[3].U)) / (4.0 * eps)
     budget = 2 * max(R.path.maxmode for R in Rs)
     _protected_cols(module, budget)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     return max(float(np.linalg.norm(D @ random_protected_vector(module, budget,
                                                                 rng)))
-               for _ in range(max(1, nvec)))
+               for _ in range(3))
 
 
 # ---------------------------------------------------------------------------

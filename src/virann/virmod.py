@@ -221,32 +221,46 @@ class ModuleParams:
         return float(self.c), float(self.h)
 
 
-def check_unitarity(params: ModuleParams, probe_level: int = 6,
-                    tol: float = DEFAULT_NULLTOL) -> tuple[bool, str]:
+def check_unitarity(params: ModuleParams) -> tuple[bool, str]:
     """Screen (c, h) for unitarity.
 
     c >= 1, h >= 0 is accepted outright.  Below c = 1 the verdict is
-    empirical: the gram matrices up to ``probe_level`` (capped by N) must be
-    positive semidefinite up to a relative tolerance.  This accepts the
-    discrete-series points and rejects generic (c, h) with c < 1.
+    empirical: the gram matrices up to level 6 (capped by N) must be
+    positive semidefinite up to the relative tolerance DEFAULT_NULLTOL
+    (``gram_negativity``).  This accepts the discrete-series points and
+    rejects generic (c, h) with c < 1.
     """
     c, h = params.as_floats()
     if h < 0 or c < 0:
         return False, "negative c or h"
     if c >= 1:
         return True, "c >= 1 and h >= 0"
-    depth = min(probe_level, params.N)
-    for k in range(1, depth + 1):
-        g = np.array(VirasoroOracle(c, h).gram(k), dtype=float)
-        scaled, _ = _scale_unit_diagonal(g, tol)
-        if scaled.size:
-            w = np.linalg.eigvalsh(scaled)
-            if w.min() < -tol * max(w.max(), 1.0):
-                return False, f"gram not positive semidefinite at level {k}"
+    depth = min(6, params.N)
+    neg, level = gram_negativity(params, depth)
+    if neg > DEFAULT_NULLTOL:
+        return False, f"gram not positive semidefinite at level {level}"
     return True, f"gram positive semidefinite through level {depth}"
 
 
-def _scale_unit_diagonal(g: np.ndarray, nulltol: float):
+def gram_negativity(params: ModuleParams, depth: int) -> tuple[float, int]:
+    """Worst -w_min / max(w_max, 1) over the float gram matrices of levels
+    1..depth, each scaled to unit diagonal, and the level where it occurs.
+
+    (0.0, 0) when every level is positive semidefinite.
+    """
+    oracle = VirasoroOracle(*params.as_floats())
+    worst, level = 0.0, 0
+    for k in range(1, depth + 1):
+        scaled, _ = _scale_unit_diagonal(np.array(oracle.gram(k), dtype=float))
+        if scaled.size:
+            w = np.linalg.eigvalsh(scaled)
+            ratio = float(-w.min() / max(w.max(), 1.0))
+            if ratio > worst:
+                worst, level = ratio, k
+    return worst, level
+
+
+def _scale_unit_diagonal(g: np.ndarray):
     """Drop exactly-null rows (zero diagonal) and rescale to unit diagonal.
 
     Returns (scaled gram, (kept index array, scale factors)).  Scaling keeps
@@ -289,7 +303,6 @@ class ModuleData:
     gram: list[np.ndarray]
     lmax: int
     lmat_by_n: dict[int, np.ndarray]
-    nulltol: float
     _blocks: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
     _blocks_lock: threading.Lock = field(default_factory=threading.Lock,
@@ -414,7 +427,7 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
         g = g_ld.astype(float)
         grams.append(g)
         gram_ld.append(g_ld)
-        scaled, (keep, scale) = _scale_unit_diagonal(g, nulltol)
+        scaled, (keep, scale) = _scale_unit_diagonal(g)
         if scaled.size == 0:
             ortho.append(np.zeros((len(basis[k]), 0)))
             ortho_ld.append(np.zeros((len(basis[k]), 0), dtype=np.longdouble))
@@ -446,8 +459,7 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
 
     data = ModuleData(
         params=params, dims=tuple(dims), basis=basis, ortho=ortho,
-        gram=grams, lmax=lmax, lmat_by_n={}, nulltol=nulltol,
-    )
+        gram=grams, lmax=lmax, lmat_by_n={})
 
     dim = data.dim
     offsets = data.level_offsets
@@ -484,17 +496,14 @@ def sobolev_norm(v, n: float, module: ModuleData) -> float:
 
 
 def random_protected_vector(module: ModuleData, budget: int,
-                            rng: np.random.Generator,
-                            unit: bool = True) -> np.ndarray:
-    """Random complex vector supported in levels <= N - budget."""
+                            rng: np.random.Generator) -> np.ndarray:
+    """Random complex unit vector supported in levels <= N - budget."""
     p = module.protected_dim(budget)
     if p == 0:
         raise TruncationError("no protected levels left at this budget")
     v = np.zeros(module.dim, dtype=complex)
     v[:p] = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-    if unit:
-        v /= np.linalg.norm(v)
-    return v
+    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +547,7 @@ def module_from_dict(data: dict) -> ModuleData:
     lmax = max((abs(n) for n in lmat), default=0)
     module = ModuleData(
         params=params, dims=dims, basis=enumerate_basis(params.N),
-        ortho=[], gram=[], lmax=lmax, lmat_by_n=lmat, nulltol=DEFAULT_NULLTOL,
-    )
+        ortho=[], gram=[], lmax=lmax, lmat_by_n=lmat)
     _check_graded(module)
     return module
 

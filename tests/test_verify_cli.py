@@ -393,10 +393,14 @@ class TestRunConfig:
         assert ra["qei-numerical-range"] != rb["qei-numerical-range"]
         assert ra["qei-analytic-spot"] == rb["qei-analytic-spot"]
 
-    @pytest.mark.parametrize("N", range(8))
-    def test_small_cutoffs_omit_rows_instead_of_raising(self, N):
-        rep = verify.run_config({"module": {"c": 2, "h": 0.5, "N": N}},
-                                workers=1)
+    @pytest.mark.parametrize("N, seed", [
+        *(pytest.param(N, 1, id=str(N)) for N in range(8)),
+        # segal-flowed's transported field outgrows L_7 or L_8 at these seeds
+        pytest.param(7, 2, id="7-seed2"), pytest.param(8, 3, id="8-seed3"),
+        pytest.param(8, 15, id="8-seed15")])
+    def test_small_cutoffs_omit_rows_instead_of_raising(self, N, seed):
+        rep = verify.run_config({"module": {"c": 2, "h": 0.5, "N": N},
+                                 "seed": seed}, workers=1)
         assert rep["config"]["suites"] == list(verify.SUITES)
         assert rep["results"]
 

@@ -17,6 +17,7 @@ from virann.virmod import (
     check_unitarity,
     enumerate_basis,
     gram_matrix,
+    gram_negativity,
     module_from_dict,
     module_to_dict,
     partitions_of,
@@ -208,7 +209,15 @@ def test_params_domain_validation():
 def test_check_unitarity_verdicts():
     assert check_unitarity(ModuleParams(2.0, 0.5, 6))[0]
     assert check_unitarity(ModuleParams(0.5, 0.0625, 6))[0]
-    assert not check_unitarity(ModuleParams(0.5, 0.3, 6))[0]
+    ok, why = check_unitarity(ModuleParams(0.5, 0.3, 6))
+    assert not ok and why == "gram not positive semidefinite at level 2"
+
+
+def test_gram_negativity_names_the_worst_level():
+    assert gram_negativity(ModuleParams(2.0, 0.5, 6), 6) == (0.0, 0)
+    neg, level = gram_negativity(ModuleParams(0.5, 0.3, 6), 6)
+    assert neg > 1e-2 and level == 2
+    assert gram_negativity(ModuleParams(0.5, 0.3, 6), 1) == (0.0, 0)
 
 
 # ---------------------------------------------------------------------------
