@@ -357,6 +357,9 @@ def element_from_path(path: FieldPath, G: int = DEFAULT_G, K: int = DEFAULT_K,
 # ---------------------------------------------------------------------------
 # composition
 
+# half-length of each factor's sitting instants, in factor time
+SITTING_WIDTH = 0.1
+
 
 def _smoothstep(x: np.ndarray | float, width: float):
     """Cubic ramp with sitting instants: 0 on [0, w], 1 on [1-w, 1]."""
@@ -391,18 +394,15 @@ class CompositeFieldPath(FieldPath):
     operator.
     """
 
-    def __init__(self, first: FieldPath, second: FieldPath, width: float = 0.1):
-        if not 0.0 < width < 0.5:
-            raise ArgumentError("sitting-instant width must lie in (0, 1/2)")
+    def __init__(self, first: FieldPath, second: FieldPath):
         self.first = first
         self.second = second
-        self.width = width
         knots = {0.0, 0.5, 1.0}
         for half, sub in ((0.0, first), (0.5, second)):
-            knots.add(half + width / 2.0)
-            knots.add(half + 0.5 - width / 2.0)
+            knots.add(half + SITTING_WIDTH / 2.0)
+            knots.add(half + 0.5 - SITTING_WIDTH / 2.0)
             for t in sub.knots:
-                x = _smoothstep_inverse(t, width)
+                x = _smoothstep_inverse(t, SITTING_WIDTH)
                 knots.add(half + x / 2.0)
         self._knots_sorted = sorted(min(max(k, 0.0), 1.0) for k in knots)
         # bypass FieldPath.__init__: interpolation is replaced wholesale
@@ -420,7 +420,7 @@ class CompositeFieldPath(FieldPath):
             sub, x = self.first, 2.0 * t
         else:
             sub, x = self.second, 2.0 * t - 1.0
-        s, ds = _smoothstep(x, self.width)
+        s, ds = _smoothstep(x, SITTING_WIDTH)
         if ds == 0.0:
             return VectorField({})
         return (2.0 * float(ds)) * sub.field_at(float(s))
@@ -430,9 +430,9 @@ class CompositeFieldPath(FieldPath):
         # factor's phase at the smoothstepped time
         t = min(max(float(t), 0.0), 1.0)
         if t <= 0.5:
-            s, _ = _smoothstep(2.0 * t, self.width)
+            s, _ = _smoothstep(2.0 * t, SITTING_WIDTH)
             return self.first.phase(float(s))
-        s, _ = _smoothstep(2.0 * t - 1.0, self.width)
+        s, _ = _smoothstep(2.0 * t - 1.0, SITTING_WIDTH)
         return self.first.phase(1.0) + self.second.phase(float(s))
 
     def max_inward_margin(self, grid: int = 512) -> float:
@@ -444,19 +444,18 @@ class CompositeFieldPath(FieldPath):
     def reversed_adjoint(self) -> "CompositeFieldPath":
         # time reversal swaps the halves
         return CompositeFieldPath(self.second.reversed_adjoint(),
-                                  self.first.reversed_adjoint(), self.width)
+                                  self.first.reversed_adjoint())
 
     def to_dict(self) -> dict:
         return {"interp": "composite", "first": self.first.to_dict(),
-                "second": self.second.to_dict(), "width": self.width}
+                "second": self.second.to_dict()}
 
 
 def _path_from_dict(doc: dict) -> FieldPath:
     # composites are stored as their factors, rebuilt recursively
     if doc.get("interp") == "composite":
         return CompositeFieldPath(_path_from_dict(doc["first"]),
-                                  _path_from_dict(doc["second"]),
-                                  doc["width"])
+                                  _path_from_dict(doc["second"]))
     return FieldPath.from_dict(doc)
 
 

@@ -33,6 +33,11 @@ class TruncationError(ValueError):
     """Raised when a requested operation leaves the level or mode budget."""
 
 
+class ModuleRangeError(TruncationError):
+    """Raised when an operation needs more levels or modes than the built
+    module holds (as opposed to a transport or extraction running away)."""
+
+
 class GridError(ValueError):
     """Raised when sampled geometry is degenerate (vanishing tangent, bad winding,
     negative Jacobian, mismatched grids)."""

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, GridError, NotInwardError, TruncationError
+from .errors import ArgumentError, GridError, ModuleRangeError, NotInwardError
 from .virmod import ModuleData
 
 #: admit tangential (boundary-of-cone) fields in the inwardness test
@@ -233,7 +233,7 @@ def pi_field(X: VectorField, module: ModuleData,
     scales row k by a_0 (h + k).  The empty field gives exact zeros.
     """
     if X.maxmode > module.lmax:
-        raise TruncationError(
+        raise ModuleRangeError(
             f"field has modes up to {X.maxmode}, module matrices stop at {module.lmax}"
         )
     if V is None:

@@ -55,7 +55,8 @@ import numpy as np
 from .annulus import (AnnulusElement, DEFAULT_MAXMODE, DEFAULT_TAIL_TOL,
                       EXTRACT_INWARD_TOL, FramingHomotopy, compose, dagger,
                       framing_path, homotopy_cocycle)
-from .errors import ArgumentError, NotInwardError, TruncationError
+from .errors import (ArgumentError, ModuleRangeError, NotInwardError,
+                     TruncationError)
 from .evolve import (DEFAULT_ODE_TOL, EvolutionResult, GeneratorPath,
                      _segments, _sweep, ode_exp)
 from .field import (FieldPath, VectorField, energy_bound_constant, field_norm,
@@ -96,7 +97,7 @@ def _as_path(E, z=None) -> tuple[FieldPath, complex, "AnnulusElement | None"]:
 def _protected_cols(module: ModuleData, budget: int) -> int:
     p = module.protected_dim(budget)
     if p == 0:
-        raise TruncationError(
+        raise ModuleRangeError(
             f"no protected levels at budget {budget} (module N = {module.N})"
         )
     return p
@@ -182,7 +183,7 @@ def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
     """
     path, scalar, element = _as_path(E, z)
     if path.maxmode > module.lmax:
-        raise TruncationError(
+        raise ModuleRangeError(
             f"path has modes up to {path.maxmode}, module matrices stop at "
             f"{module.lmax}"
         )
@@ -408,7 +409,7 @@ def segal_residual(E, f0: VectorField, module: ModuleData,
                    if abs(n) > module.lmax)
         total = sum(abs(a) for a in f1.coeffs.values())
         if lost > 1e-9 * total:
-            raise TruncationError(
+            raise ModuleRangeError(
                 f"transported field carries {lost/total:.2e} of its mass "
                 f"beyond the module's matrix range {module.lmax}"
             )

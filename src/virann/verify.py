@@ -23,8 +23,8 @@ fails every bound instead of being skipped.
 
 Suites degrade gracefully at small cutoffs: rows whose construction needs
 more levels than the module has (no protected level at the row's budget,
-or generators beyond the module's ``lmax``) are omitted rather than
-faked.  Two heavy cross-validations (expm product limit, Duhamel
+or generators or transported fields beyond the module's ``lmax``) are
+omitted rather than faked.  Two heavy cross-validations (expm product limit, Duhamel
 derivative) run on an embedded low-cutoff module with the same (c, h),
 where the identity under test is the same but dense sweeps are
 affordable.
@@ -44,7 +44,7 @@ from scipy.linalg import expm
 from . import _blas
 from .annulus import (FramingHomotopy, bigon_factor, compose,
                       element_from_path, identity_element, standard_element)
-from .errors import ArgumentError, TruncationError
+from .errors import ArgumentError, ModuleRangeError
 from .evolve import (DEFAULT_ODE_TOL, GeneratorPath, adjoint_evolution_check,
                      flow_residual, ode_exp, parameter_derivative,
                      piecewise_exp)
@@ -414,11 +414,11 @@ def suite_gram(module, tol, rng):
             0.0, t0))
 
     t0 = _clock()
-    neg, _ = gram_negativity(module.params, min(module.N, 6))
+    neg, _, depth = gram_negativity(module.params)
     rows.append(_row(
         "gram-positive-semidefinite",
-        "scaled inner-product matrices stay PSD through level "
-        f"{min(module.N, 6)}", neg, 1e-9, t0))
+        f"scaled inner-product matrices stay PSD through level {depth}",
+        neg, 1e-9, t0))
     return rows
 
 
@@ -645,14 +645,15 @@ def suite_segal(module, tol, rng):
 
     # a mode-2 path and seeds of mode <= 1 are measured on levels <= N - 6;
     # the row is omitted where the module cannot hold the path, that block
-    # or the transported field (TruncationError)
+    # or the transported field (ModuleRangeError); a transport that runs
+    # out of its own mode window still raises
     t0 = _clock()
     E = element_from_path(_shallow_path(rng, depth=0.012), G=128, K=32)
     try:
         R = represent(E, module, tol=tol)
         worst = max(segal_residual(R, mode_field(n), module, tol=tol)
                     for n in (-1, 0, 1))
-    except TruncationError:
+    except ModuleRangeError:
         return rows
     rows.append(_row(
         "segal-flowed",

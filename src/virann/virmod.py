@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError, NonUnitaryError, TruncationError
+from .errors import ArgumentError, ModuleRangeError, NonUnitaryError
 
 Partition = tuple[int, ...]
 
@@ -235,19 +235,21 @@ def check_unitarity(params: ModuleParams) -> tuple[bool, str]:
         return False, "negative c or h"
     if c >= 1:
         return True, "c >= 1 and h >= 0"
-    depth = min(6, params.N)
-    neg, level = gram_negativity(params, depth)
+    neg, level, depth = gram_negativity(params)
     if neg > DEFAULT_NULLTOL:
         return False, f"gram not positive semidefinite at level {level}"
     return True, f"gram positive semidefinite through level {depth}"
 
 
-def gram_negativity(params: ModuleParams, depth: int) -> tuple[float, int]:
+def gram_negativity(params: ModuleParams) -> tuple[float, int, int]:
     """Worst -w_min / max(w_max, 1) over the float gram matrices of levels
-    1..depth, each scaled to unit diagonal, and the level where it occurs.
+    1..depth, each scaled to unit diagonal, the level where it occurs, and
+    depth = min(N, 6).
 
-    (0.0, 0) when every level is positive semidefinite.
+    The worst ratio and its level are (0.0, 0) when every level is
+    positive semidefinite.
     """
+    depth = min(params.N, 6)
     oracle = VirasoroOracle(*params.as_floats())
     worst, level = 0.0, 0
     for k in range(1, depth + 1):
@@ -257,7 +259,7 @@ def gram_negativity(params: ModuleParams, depth: int) -> tuple[float, int]:
             ratio = float(-w.min() / max(w.max(), 1.0))
             if ratio > worst:
                 worst, level = ratio, k
-    return worst, level
+    return worst, level, depth
 
 
 def _scale_unit_diagonal(g: np.ndarray):
@@ -334,7 +336,7 @@ class ModuleData:
 
     def lmat(self, n: int) -> np.ndarray:
         if abs(n) > self.lmax:
-            raise TruncationError(
+            raise ModuleRangeError(
                 f"module built with lmax = {self.lmax}, no matrix for L_{n}"
             )
         return self.lmat_by_n[n]
@@ -500,7 +502,7 @@ def random_protected_vector(module: ModuleData, budget: int,
     """Random complex unit vector supported in levels <= N - budget."""
     p = module.protected_dim(budget)
     if p == 0:
-        raise TruncationError("no protected levels left at this budget")
+        raise ModuleRangeError("no protected levels left at this budget")
     v = np.zeros(module.dim, dtype=complex)
     v[:p] = rng.standard_normal(p) + 1j * rng.standard_normal(p)
     return v / np.linalg.norm(v)

@@ -366,7 +366,7 @@ class TestCompositePhase:
     def test_phase_is_the_integral_of_a0(self, rng, a0_integral):
         first = _shallow_path(rng, maxmode=3, knots=4)
         second = FieldPath.constant_path(VectorField({0: np.log(0.6), 1: 0.1}))
-        p = CompositeFieldPath(first, second, width=0.1)
+        p = CompositeFieldPath(first, second)
         for t in (0.03, 0.2, 0.5, 0.52, 0.77, 1.0):
             assert abs(p.phase(t) - a0_integral(p, t)) < 1e-13
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from virann import _blas, cli, verify
+from virann.errors import ModuleRangeError, TruncationError
 from virann.virmod import ModuleParams, build_module, module_to_dict
 
 LIGHT = "gram,bracket,qei,energy,mobius,bigon"
@@ -403,6 +404,32 @@ class TestRunConfig:
                                  "seed": seed}, workers=1)
         assert rep["config"]["suites"] == list(verify.SUITES)
         assert rep["results"]
+
+    def test_default_cutoff_keeps_segal_flowed(self):
+        rep = verify.run_config({"module": {"c": 2, "h": 0.5, "N": 12},
+                                 "seed": 1, "suites": ["segal"]}, workers=1)
+        assert [r["id"] for r in rep["results"]] == [
+            "segal-standard", "segal-flowed"]
+
+    def test_segal_flowed_omitted_only_beyond_the_module(self, monkeypatch):
+        real = verify.segal_residual
+
+        def raising(err):
+            def fake(R, f0, module, tol):
+                if R.path.maxmode:  # the flowed element; standard is mode 0
+                    raise err("raised by the test")
+                return real(R, f0, module, tol=tol)
+            return fake
+
+        cfg = {"module": {"c": 2, "h": 0.5, "N": 8}, "suites": ["segal"]}
+        monkeypatch.setattr(verify, "segal_residual",
+                            raising(ModuleRangeError))
+        rep = verify.run_config(cfg, workers=1)
+        assert [r["id"] for r in rep["results"]] == ["segal-standard"]
+        # a transport that outruns its own mode window is not omitted
+        monkeypatch.setattr(verify, "segal_residual", raising(TruncationError))
+        with pytest.raises(TruncationError, match="raised by the test"):
+            verify.run_config(cfg, workers=1)
 
     def test_schema_suite_enum_is_the_registry(self):
         schema = cli.load_schema("run_config")

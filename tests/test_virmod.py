@@ -214,10 +214,10 @@ def test_check_unitarity_verdicts():
 
 
 def test_gram_negativity_names_the_worst_level():
-    assert gram_negativity(ModuleParams(2.0, 0.5, 6), 6) == (0.0, 0)
-    neg, level = gram_negativity(ModuleParams(0.5, 0.3, 6), 6)
-    assert neg > 1e-2 and level == 2
-    assert gram_negativity(ModuleParams(0.5, 0.3, 6), 1) == (0.0, 0)
+    assert gram_negativity(ModuleParams(2.0, 0.5, 8)) == (0.0, 0, 6)
+    neg, level, depth = gram_negativity(ModuleParams(0.5, 0.3, 6))
+    assert neg > 1e-2 and level == 2 and depth == 6
+    assert gram_negativity(ModuleParams(0.5, 0.3, 1)) == (0.0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
