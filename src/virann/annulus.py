@@ -322,8 +322,8 @@ def element_from_path(path: FieldPath, G: int = DEFAULT_G, K: int = DEFAULT_K,
     chains elements into composable pairs: flowing the second factor
     from the incoming curve of the first makes the junction match
     exactly.  The path may leave the inward cone by at most
-    ``EXTRACT_INWARD_TOL``.  Each row is one RK45 solve of
-    ``evolve._sweep`` to tolerance 1e-12; a failed step raises
+    ``EXTRACT_INWARD_TOL``.  Each row is one call of ``evolve._sweep``,
+    the package's RK45 loop, to tolerance 1e-12; a failed step raises
     EvolutionError, as every other solve does.  The scalar z is 1.
     """
     margin = path.max_inward_margin()
@@ -349,7 +349,7 @@ def element_from_path(path: FieldPath, G: int = DEFAULT_G, K: int = DEFAULT_K,
     ks[0], ks[-1] = 0.0, 1.0
     rows = [_spectral_filter(start)]
     for a, b in zip(ks[:-1], ks[1:]):
-        y, *_ = _sweep(rhs, [(a, b)], rows[-1], 1e-12, "RK45")
+        y, *_ = _sweep(rhs, [(a, b)], rows[-1], 1e-12)
         rows.append(_spectral_filter(y))
     return AnnulusElement(Framing(np.array(rows), ks), path=path)
 

@@ -17,9 +17,10 @@ formula.
 
 Every ODE of the package (these matrix solves, the field transport of
 ``rep`` and the circle flow of ``annulus.element_from_path``) is stepped
-by one loop, ``_sweep``.  It keeps only the current state; a caller that
-needs intermediate states names their times up front (``at``), and each
-is read from the dense output of the step that reaches it.
+by one RK45 loop, ``_sweep``, that repeats scipy's arithmetic (tests hold
+it to exact equality with ``solve_ivp``) on buffers allocated per call.
+A caller that needs intermediate states names their times up front
+(``at``); each is read from the dense output of the step that reaches it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, RK23, RK45
+from scipy.integrate import RK45
 from scipy.linalg import expm
 
 from .errors import ArgumentError, EvolutionError
@@ -146,59 +147,117 @@ def _segments(knots, s: float, t: float) -> list[tuple[float, float]]:
     return list(zip(pts, pts[1:]))
 
 
-#: the explicit Runge-Kutta methods; an implicit one would form a Jacobian
-#: of the d^2-sized state
-_SOLVERS = {s.__name__: s for s in (RK23, RK45, DOP853)}
+def _rms(x: np.ndarray) -> float:
+    """Root mean square, scipy's error norm."""
+    return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _sweep(rhs, segments, y0, tol: float, method: str, at=()):
-    """The one stepping loop: sequential adaptive solves over segments.
+def _initial_step(rhs, t0: float, y0, t_bound: float, f0, direction,
+                  tol: float, scale, work) -> float:
+    """scipy's ``select_initial_step`` (Hairer, Norsett and Wanner, II.4),
+    the same operations on the loop's buffers ``scale`` and ``work``."""
+    interval_length = abs(t_bound - t0)
+    np.multiply(np.abs(y0, out=scale), tol, out=scale)
+    scale += tol
+    d0 = _rms(np.divide(y0, scale, out=work))
+    d1 = _rms(np.divide(f0, scale, out=work))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+             interval_length)
+    np.multiply(f0, h0 * direction, out=work)
+    work += y0
+    f1 = rhs(t0 + h0 * direction, work)
+    d2 = _rms(np.divide(np.subtract(f1, f0, out=work), scale, out=work)) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1)))
+    return min(100 * h0, h1, interval_length)
 
-    Returns (y_end, steps, nfev, states at the times in ``at``).  It steps
-    scipy's solver itself and keeps only the current state; steps,
-    evaluations and the end state are those of scipy's own driver with the
-    same options.  Each time in ``at`` is read from the dense output of
-    the first step that reaches it, while that step is live: the
-    interpolant that the driver's stitched dense output would pick.  A
-    time outside every segment raises ArgumentError; a non-finite initial
-    step (from a NaN or infinite first evaluation) raises EvolutionError.
+
+def _sweep(rhs, segments, y0, tol: float, at=()):
+    """The one stepping loop: adaptive RK45 solves over segments in turn.
+
+    Returns (y_end, steps, nfev, states at the times in ``at``).  It is
+    scipy's ``RK45`` (its Dormand-Prince tableau, atol = rtol = tol)
+    repeated operation for operation, so steps, evaluations, end state
+    and dense values equal ``solve_ivp``'s on each segment.  The stage
+    array K and the work vectors are allocated once per call and filled
+    in place; nothing outlives the call but the returned states.  Each
+    time in ``at`` is read from the dense output K^T P of the first step
+    that reaches it.  A time outside every segment raises ArgumentError;
+    a non-finite initial step or one below 10 ulp of t, EvolutionError.
     """
-    solver_cls = _SOLVERS.get(method)
-    if solver_cls is None:
-        raise ArgumentError(f"unknown method {method!r}, use one of "
-                            f"{', '.join(_SOLVERS)}")
     for x in at:
         if not any(min(a, b) <= x <= max(a, b) for a, b in segments):
             raise ArgumentError(f"time {x} outside the integrated range")
     pending = dict(enumerate(at))
     values = [None] * len(pending)
-    y = y0
+    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
+    y_new, work = np.empty_like(y), np.empty_like(y)
+    scale, mag = np.empty(y.size), np.empty(y.size)
+    K = np.empty((RK45.n_stages + 1, y.size), dtype=y.dtype)
+    exponent = -1 / (RK45.error_estimator_order + 1)
     steps = nfev = 0
     for a, b in segments:
-        solver = solver_cls(rhs, float(a), y, float(b), rtol=tol, atol=tol)
-        if not np.isfinite(solver.h_abs):
-            # a NaN step never falls below scipy's minimum and never ends
+        t, t_end = float(a), float(b)
+        direction = np.sign(t_end - t) if t_end != t else 1
+        K[0] = rhs(t, y)
+        h_abs = _initial_step(rhs, t, y, t_end, K[0], direction, tol, scale,
+                              work)
+        nfev += 2
+        if not np.isfinite(h_abs):
+            # a NaN step never falls below the minimum and never ends
             raise EvolutionError(f"initial step on [{a}, {b}] is "
-                                 f"{solver.h_abs}: non-finite generator")
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise EvolutionError(f"integration failed on [{a}, {b}]: "
-                                     f"{message}")
+                                 f"{h_abs}: non-finite generator")
+        while direction * (t - t_end) < 0:
+            min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise EvolutionError(f"integration failed on [{a}, {b}]:"
+                                         f" step below 10 ulp at t = {t}")
+                t_new = t + h_abs * direction
+                if direction * (t_new - t_end) > 0:
+                    t_new = t_end
+                h = t_new - t
+                h_abs = np.abs(h)
+                for s in range(1, RK45.n_stages):
+                    np.dot(K[:s].T, RK45.A[s, :s], out=work)
+                    work *= h
+                    work += y
+                    K[s] = rhs(t + RK45.C[s] * h, work)
+                np.dot(K[:-1].T, RK45.B, out=y_new)
+                y_new *= h
+                y_new += y
+                K[-1] = rhs(t + h, y_new)
+                nfev += RK45.n_stages
+                np.maximum(np.abs(y, out=scale), np.abs(y_new, out=mag),
+                           out=scale)
+                scale *= tol
+                scale += tol
+                np.dot(K.T, RK45.E, out=work)
+                work *= h
+                error_norm = _rms(np.divide(work, scale, out=work))
+                if error_norm < 1:
+                    factor = (10 if error_norm == 0
+                              else min(10, 0.9 * error_norm ** exponent))
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(0.2, 0.9 * error_norm ** exponent)
+                rejected = True
             steps += 1
-            lo, hi = sorted((solver.t_old, solver.t))
-            reached = [i for i, x in pending.items() if lo <= x <= hi]
+            reached = [i for i, x in pending.items()
+                       if min(t, t_new) <= x <= max(t, t_new)]
             if reached:
-                dense = solver.dense_output()
+                Q = K.T.dot(RK45.P)
                 for i in reached:
-                    values[i] = dense(pending.pop(i))
-        y = solver.y
-        nfev += solver.nfev
+                    x = (pending.pop(i) - t) / h
+                    values[i] = h * np.dot(Q, np.cumprod([x] * Q.shape[1])) + y
+            t, y, y_new = t_new, y_new, y
+            K[0] = K[-1]
     return y, steps, nfev, values
 
 
-def _solve(path: GeneratorPath, s: float, t: float, tol: float,
-           method: str = "RK45", at=()):
+def _solve(path: GeneratorPath, s: float, t: float, tol: float, at=()):
     """U' = A(x) U, U(s) = I through ``path.act``, restarted at knots.
 
     Returns (U(t, s), steps, nfev, [U(x, s) for x in at]).
@@ -209,15 +268,14 @@ def _solve(path: GeneratorPath, s: float, t: float, tol: float,
         return path.act(x, y.reshape(d, d)).ravel()
 
     y, steps, nfev, values = _sweep(rhs, _segments(path.knots, s, t),
-                                    np.eye(d, dtype=complex).ravel(), tol,
-                                    method, at)
+                                    np.eye(d, dtype=complex).ravel(), tol, at)
     return (y.reshape(d, d), steps, nfev,
             [v.reshape(d, d) for v in values])
 
 
 def ode_exp(path: GeneratorPath, s: float, t: float,
-            tol: float = DEFAULT_ODE_TOL, method: str = "RK45") -> EvolutionResult:
-    """Adaptive Runge-Kutta solve of U' = A(t)U, U(s) = I.
+            tol: float = DEFAULT_ODE_TOL) -> EvolutionResult:
+    """Adaptive RK45 solve of U' = A(t)U, U(s) = I.
 
     Each evaluation of the right-hand side is one ``path.act``: on a path
     of fields, the generator is applied by real level blocks.  Integration
@@ -230,9 +288,9 @@ def ode_exp(path: GeneratorPath, s: float, t: float,
         raise ArgumentError("need s <= t")
     if tol <= 0:
         raise ArgumentError("tolerance must be positive")
-    U, steps, nfev, _ = _solve(path, s, t, tol, method)
+    U, steps, nfev, _ = _solve(path, s, t, tol)
     _check_finite(U, "ode integration")
-    return EvolutionResult(U, steps, f"ode:{method}", meta={"nfev": nfev})
+    return EvolutionResult(U, steps, "ode:RK45", meta={"nfev": nfev})
 
 
 def flow_residual(path: GeneratorPath, s: float, r: float, t: float,

@@ -9,7 +9,8 @@ e^{phi(1) L_0} is diagonal and exact, and V solves V' = B~(t) V for the
 non-diagonal part conjugated past it,
 B~(t) = sum_{n != 0} a_n(t) e^{n phi(t)} L_n
 (from e^{-phi L_0} L_n e^{phi L_0} = e^{n phi} L_n).  RK45 integrates
-V only, free of the stiff diagonal.  Paths without oscillating modes
+V only, free of the stiff diagonal; the scaling and z then act on V in
+place.  Paths without oscillating modes
 (scaling, rotation, their composites and time warps) have B~ = 0: the
 solver's error estimate is zero, its steps grow tenfold, and V = I
 exactly after a few dozen evaluations.  The other entry points quantify,
@@ -46,7 +47,7 @@ what makes the scan decrease).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -112,7 +113,7 @@ class RepresentedAnnulus:
     """An annulus element realized as a dense operator on a truncated module.
 
     U is z times the time-ordered exponential of the generator path's
-    matrices; ``result`` holds that exponential (without z) and the step
+    matrices; ``result`` holds the same array as its ``U`` and the step
     and evaluation counts of the solve of its non-diagonal factor.
     ``hn_report`` measures the operator in the weighted graded norms
     n = 0, 1, 2 and compares with the a priori growth bound
@@ -195,11 +196,12 @@ def represent(E, module: ModuleData, tol: float = DEFAULT_ODE_TOL,
         )
     scaling = np.exp(path.phase(1.0) * module.weights())
     V = ode_exp(_interaction_generator(path, module), 0.0, 1.0, tol)
-    result = replace(V, U=scaling[:, None] * V.U,
-                     method="interaction:" + V.method)
+    # in place, operands in z * (scaling * V)'s order: FMA rounding follows it
+    np.multiply(scaling[:, None], V.U, out=V.U)
+    np.multiply(scalar, V.U, out=V.U)
+    V.method = "interaction:" + V.method
     return RepresentedAnnulus(element=element, path=path, z=scalar,
-                              module=module, U=scalar * result.U,
-                              result=result)
+                              module=module, U=V.U, result=V)
 
 
 def _ensure_represented(E, module: ModuleData, tol: float) -> RepresentedAnnulus:
@@ -365,7 +367,7 @@ def transport_field(f0: VectorField, path: FieldPath,
     ts = ts[np.concatenate([[True], np.diff(ts) > 1e-12])]
     ts[0], ts[-1] = 0.0, 1.0
     yend, _, _, ys = _sweep(rhs, _segments(path.knots, 0.0, 1.0), y0, tol,
-                            "RK45", at=ts[:-1])
+                            at=ts[:-1])
 
     def materialize(y: np.ndarray) -> VectorField:
         coeffs = y[:2 * Wi + 1]

@@ -96,8 +96,6 @@ def test_ode_zero_path_gives_identity():
     gp = GeneratorPath.constant(np.zeros((4, 4)))
     res = ode_exp(gp, 0.0, 1.0, 1e-10)
     assert np.abs(res.U - np.eye(4)).max() < 1e-12
-    with pytest.raises(ArgumentError, match="unknown method"):
-        ode_exp(gp, 0.0, 1.0, method="BDF")
 
 
 def test_ode_empty_interval_is_the_identity_without_steps(noncommuting_path):
@@ -113,9 +111,19 @@ def test_ode_constant_diagonal_closed_form(mod6):
     assert np.abs(res.U - expect).max() < 1e-9
 
 
+def _dop853(gp, tol):
+    """U(1, 0) from scipy's DOP853 on the same right-hand side and knots."""
+    d = gp.dim
+    y = np.eye(d, dtype=complex).ravel()
+    for a, b in _segments(gp.knots, 0.0, 1.0):
+        y = solve_ivp(lambda x, v: gp.act(x, v.reshape(d, d)).ravel(), (a, b),
+                      y, method="DOP853", rtol=tol, atol=tol).y[:, -1]
+    return y.reshape(d, d)
+
+
 def test_ode_tolerance_scaling(noncommuting_path):
     gp = noncommuting_path
-    ref = ode_exp(gp, 0.0, 1.0, 1e-12, method="DOP853").U
+    ref = _dop853(gp, 1e-12)
     coarse = np.linalg.norm(ode_exp(gp, 0.0, 1.0, 1e-6).U - ref, 2)
     fine = np.linalg.norm(ode_exp(gp, 0.0, 1.0, 1e-10).U - ref, 2)
     assert fine < coarse
@@ -123,7 +131,7 @@ def test_ode_tolerance_scaling(noncommuting_path):
 
 def test_ode_dop853_variant(noncommuting_path):
     a = ode_exp(noncommuting_path, 0.0, 1.0, 1e-10).U
-    b = ode_exp(noncommuting_path, 0.0, 1.0, 1e-10, method="DOP853").U
+    b = _dop853(noncommuting_path, 1e-10)
     assert np.linalg.norm(a - b, 2) < 1e-8
 
 
@@ -141,7 +149,7 @@ def test_sweep_steps_like_solve_ivp(noncommuting_path):
     forward = _segments(gp.knots, 0.0, 1.0)
     for segs in (forward, [(b, a) for a, b in reversed(forward)]):
         interior = [x for a, b in segs for x in np.linspace(a, b, 5)[1:-1]]
-        y, steps, nfev, ys = _sweep(rhs, segs, y0, 1e-8, "RK45", at=interior)
+        y, steps, nfev, ys = _sweep(rhs, segs, y0, 1e-8, at=interior)
         want = y0
         want_steps = want_nfev = 0
         refs = []
@@ -167,15 +175,14 @@ def test_sweep_reads_each_time_once_in_any_order(noncommuting_path):
 
     segs = _segments(gp.knots, 0.0, 1.0)
     times = [0.9, 0.0, 0.25, 0.9, 1.0]
-    y, _, _, ys = _sweep(rhs, segs, y0, 1e-8, "RK45", at=times)
-    _, _, _, sorted_ys = _sweep(rhs, segs, y0, 1e-8, "RK45",
-                                at=sorted(set(times)))
+    y, _, _, ys = _sweep(rhs, segs, y0, 1e-8, at=times)
+    _, _, _, sorted_ys = _sweep(rhs, segs, y0, 1e-8, at=sorted(set(times)))
     by_time = dict(zip(sorted(set(times)), sorted_ys))
     assert all(np.array_equal(v, by_time[t]) for t, v in zip(times, ys))
     assert np.array_equal(ys[1], y0)
     # the knot 0.25 is read from the last step of the segment ending there
     assert segs[0] == (0.0, 0.25)
-    _, _, _, first = _sweep(rhs, segs[:1], y0, 1e-8, "RK45", at=[0.25])
+    _, _, _, first = _sweep(rhs, segs[:1], y0, 1e-8, at=[0.25])
     assert np.array_equal(ys[2], first[0])
     assert np.allclose(ys[-1], y, atol=1e-14, rtol=0)
 
@@ -184,27 +191,41 @@ def test_sweep_reads_each_time_once_in_any_order(noncommuting_path):
 def test_sweep_rejects_times_outside_its_range(x):
     with pytest.raises(ArgumentError, match="outside the integrated range"):
         _sweep(lambda t, y: -y, [(0.0, 0.5), (0.5, 1.0)], np.ones(2), 1e-8,
-               "RK45", at=[0.5, x])
+               at=[0.5, x])
 
 
-@pytest.mark.parametrize("method", ["RK23", "RK45", "DOP853"])
-def test_nan_generator_raises_instead_of_spinning(method):
-    # a NaN first evaluation gives scipy a NaN initial step, which its
-    # step loop never rejects as too small
+def _raised_within(seconds, call):
+    """The EvolutionError messages ``call`` raised, run on a thread that
+    must finish within ``seconds``."""
     raised = []
 
     def run():
         try:
-            ode_exp(GeneratorPath.constant(np.full((2, 2), np.nan)), 0.0, 1.0,
-                    method=method)
+            call()
         except EvolutionError as e:
             raised.append(str(e))
 
     t = threading.Thread(target=run, daemon=True)
     t.start()
-    t.join(60)
+    t.join(seconds)
     assert not t.is_alive()
+    return raised
+
+
+def test_nan_generator_raises_instead_of_spinning():
+    # a NaN first evaluation gives a NaN initial step, which the step
+    # loop never rejects as too small
+    raised = _raised_within(60, lambda: ode_exp(
+        GeneratorPath.constant(np.full((2, 2), np.nan)), 0.0, 1.0))
     assert raised and "initial step" in raised[0]
+
+
+def test_blow_up_raises_once_the_step_underflows():
+    # y' = y^2, y(0) = 1 is 1 / (1 - t): the steps shrink towards t = 1
+    # until one falls below 10 ulp of t
+    raised = _raised_within(60, lambda: _sweep(
+        lambda t, y: y * y, [(0.0, 2.0)], np.ones(1), 1e-8))
+    assert raised and "integration failed on [0.0, 2.0]" in raised[0]
 
 
 def test_field_path_acts_like_its_dense_generator(mod12, rng):

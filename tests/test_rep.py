@@ -1,5 +1,7 @@
 """Represented annuli: diagonal oracles, law residuals, transport, overlaps."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +123,28 @@ class TestInteractionPicture:
         full = ode_exp(GeneratorPath.from_field_path(E.path, mod12), 0.0,
                        1.0, 1e-12)
         assert np.abs(R.U - full.U).max() < 1e-8
+
+    def test_no_solve_outlives_its_call(self, mod10):
+        # the operator is the only d x d array a represented element holds,
+        # and nothing of its solve is left once it is gone; gc is off, so
+        # a reference cycle would keep what it holds
+        path = _shallow_path(np.random.default_rng(1), depth=0.05)
+        represent(path, mod10)  # warm the module's caches
+        gc.collect()
+        gc.disable()
+        try:
+            tracemalloc.start()
+            base = tracemalloc.get_traced_memory()[0]
+            R = represent(path, mod10)
+            held = tracemalloc.get_traced_memory()[0] - base
+            nbytes = R.U.nbytes
+            del R
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held <= 1.25 * nbytes
+        assert left < 0.05 * nbytes
 
     def test_block_action_takes_the_dense_solver_steps(self, mod12):
         rng = np.random.default_rng(601)
