@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, RK23, RK45, solve_ivp
 from scipy.linalg import expm
 
 from virann.errors import ArgumentError, EvolutionError
@@ -212,11 +212,18 @@ def _raised_within(seconds, call):
     return raised
 
 
-def test_nan_generator_raises_instead_of_spinning():
-    # a NaN first evaluation gives a NaN initial step, which the step
-    # loop never rejects as too small
-    raised = _raised_within(60, lambda: ode_exp(
-        GeneratorPath.constant(np.full((2, 2), np.nan)), 0.0, 1.0))
+@pytest.mark.parametrize("method", [RK23, RK45, DOP853],
+                         ids=lambda m: m.__name__)
+def test_nan_generator_raises_instead_of_spinning(method):
+    # a NaN first evaluation gives each of scipy's explicit Runge-Kutta
+    # solvers a NaN initial step, which its step loop never rejects as too
+    # small; the loop here must raise at that step instead
+    gp = GeneratorPath.constant(np.full((2, 2), np.nan))
+    y0 = np.eye(2, dtype=complex).ravel()
+    solver = method(lambda t, v: gp.act(t, v.reshape(2, 2)).ravel(), 0.0,
+                    y0, 1.0, rtol=DEFAULT_ODE_TOL, atol=DEFAULT_ODE_TOL)
+    assert np.isnan(solver.h_abs)
+    raised = _raised_within(60, lambda: ode_exp(gp, 0.0, 1.0))
     assert raised and "initial step" in raised[0]
 
 
