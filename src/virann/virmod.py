@@ -9,9 +9,12 @@ A module is built from the free (Verma) action on words L_{-p1}...L_{-pk} v,
 indexed by integer partitions, by quotienting null directions of the invariant
 inner product and orthonormalizing level by level.  Everything at or below a
 cutoff level N is kept; the matrices ``lmat(n)`` are the compressions of L_n
-to the truncation.  On vectors supported in levels <= N - |n| the compression
-acts exactly as the infinite-dimensional operator, which is what makes the
-truncated identities testable at tight tolerances.
+to the truncation.  They are real in the orthonormal basis, so a built
+module stores each L_n with n >= 0 once, in float64, and ``lmat(-n)`` is
+the transposed view of ``lmat(n)``.  On vectors supported in levels
+<= N - |n| the compression acts exactly as the infinite-dimensional
+operator, which is what makes the truncated identities testable at tight
+tolerances.
 
 Scalars may be ``fractions.Fraction`` (exact arithmetic, used by the oracle
 tests) or floats; the reduction code is generic over both.
@@ -291,11 +294,12 @@ class ModuleData:
     """A built truncation: orthonormal graded basis plus compressed L_n.
 
     dims[k] is the surviving dimension at level k after the null quotient;
-    ``lmat(n)`` is dense of shape (dim, dim), graded so that its only nonzero
-    blocks map level k to level k - n.  Those blocks are real in the
-    orthonormal basis; ``level_blocks`` hands them out for the products of
-    ``field.pi_field``.  ``lmat_by_n`` is read-only after the build: the
-    blocks are derived from it once and cached.
+    ``lmat(n)`` is dense float64 of shape (dim, dim), graded so that its only
+    nonzero blocks map level k to level k - n; ``level_blocks`` hands those
+    blocks out for the products of ``field.pi_field``.  A built module
+    stores L_{-n} as the transposed view of L_n, so the two share memory.
+    ``lmat_by_n`` is read-only after the build, and every stored matrix is
+    flagged so: the blocks are derived from it once and cached.
     """
 
     params: ModuleParams
@@ -342,7 +346,7 @@ class ModuleData:
         return self.lmat_by_n[n]
 
     def level_blocks(self, n: int) -> tuple[tuple[slice, slice, np.ndarray], ...]:
-        """The real level blocks of L_n: (rows of level k - n, rows of level
+        """The level blocks of L_n: (rows of level k - n, rows of level
         k, block) for every level k whose block is nonzero.
 
         Read once from ``lmat(n)`` on first use and cached, so only the
@@ -361,7 +365,7 @@ class ModuleData:
                 for k in range(max(n, 0), self.N + 1 + min(n, 0)):
                     dst = slice(off[k - n], off[k - n + 1])
                     src = slice(off[k], off[k + 1])
-                    block = np.ascontiguousarray(mat[dst, src].real)
+                    block = np.ascontiguousarray(mat[dst, src])
                     if block.any():
                         found.append((dst, src, block))
                 blocks = self._blocks[n] = tuple(found)
@@ -390,8 +394,10 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
     Fractions), quotient directions with relative eigenvalue below
     ``nulltol``, and orthonormalize.  Raises NonUnitaryError on an eigenvalue
     that is negative beyond tolerance.  ``lmax`` bounds which L_n matrices are
-    assembled (default: all |n| <= N); matrices for -n are the conjugate
-    transposes of those for n, which is exact for the compression.
+    assembled (default: all |n| <= N).  Each L_n with n >= 1 is assembled
+    once as a real matrix; L_{-n} is its transposed view, with no copy,
+    which is exact for the compression since L_n* = L_{-n} and the
+    orthonormal basis is real.  Every stored matrix is read-only.
 
     Numerical note: the partition-monomial basis becomes severely
     ill-conditioned with level (normalized gram condition ~1e8 at level 12),
@@ -467,9 +473,9 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
     offsets = data.level_offsets
     weights = data.weights()
 
-    data.lmat_by_n[0] = np.diag(weights).astype(complex)
+    data.lmat_by_n[0] = _read_only(np.diag(weights))
     for n in range(1, lmax + 1):
-        mat = np.zeros((dim, dim), dtype=complex)
+        mat = np.zeros((dim, dim))
         for k in range(n, N + 1):
             if dims[k] == 0 or dims[k - n] == 0:
                 continue
@@ -483,9 +489,15 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
             gb = gram_ld[k - n] @ ortho_ld[k - n]
             block = (gb.T @ (cmat @ ortho_ld[k])).astype(float)
             mat[offsets[k - n]:offsets[k - n + 1], offsets[k]:offsets[k + 1]] = block
-        data.lmat_by_n[n] = mat
-        data.lmat_by_n[-n] = mat.conj().T
+        data.lmat_by_n[n] = _read_only(mat)
+        data.lmat_by_n[-n] = mat.T
     return data
+
+
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    """``mat``, flagged so that an in-place write raises ValueError."""
+    mat.flags.writeable = False
+    return mat
 
 
 def sobolev_norm(v, n: float, module: ModuleData) -> float:
@@ -535,7 +547,9 @@ def module_from_dict(data: dict) -> ModuleData:
     outside the level blocks that map level k to level k - n, and real.
     L_0 must be the diagonal h + k.  The block products of
     ``field.pi_field`` read exactly that structure, so a file breaking it
-    would otherwise act as another operator.
+    would otherwise act as another operator.  The checked matrices are
+    stored as their real parts, in float64 and read-only; L_n and L_{-n}
+    are both kept as the file gives them.
     """
     c, h = float(data["c"]), float(data["h"])
     if not (math.isfinite(c) and math.isfinite(h)):
@@ -551,6 +565,8 @@ def module_from_dict(data: dict) -> ModuleData:
         params=params, dims=dims, basis=enumerate_basis(params.N),
         ortho=[], gram=[], lmax=lmax, lmat_by_n=lmat)
     _check_graded(module)
+    module.lmat_by_n = {n: _read_only(np.ascontiguousarray(m.real))
+                        for n, m in lmat.items()}
     return module
 
 

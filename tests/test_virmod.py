@@ -231,8 +231,27 @@ def test_lmat_zero_is_diagonal_weights(mod12):
 
 
 def test_adjoint_pairing_exact_by_construction(mod12):
-    for n in range(1, 5):
-        assert np.array_equal(mod12.lmat(-n), mod12.lmat(n).conj().T)
+    for n in range(1, mod12.lmax + 1):
+        assert np.array_equal(mod12.lmat(-n), mod12.lmat(n).T)
+        assert np.shares_memory(mod12.lmat(-n), mod12.lmat(n))
+
+
+def test_each_lmat_is_stored_once_as_a_real_matrix(mod12):
+    mats = [mod12.lmat(n) for n in range(-mod12.lmax, mod12.lmax + 1)]
+    assert all(m.dtype == np.float64 for m in mats)
+    owners = {id(o): o for o in (m if m.base is None else m.base
+                                 for m in mats)}
+    stored = sum(o.nbytes for o in owners.values())
+    assert stored <= (mod12.lmax + 1) * mod12.dim ** 2 * 8
+
+
+def test_stored_lmat_is_read_only():
+    built = build_module(ModuleParams(2.0, 0.5, 4))
+    loaded = module_from_dict(json.loads(json.dumps(module_to_dict(built))))
+    for mod in (built, loaded):
+        for n in (-2, 0, 2):
+            with pytest.raises(ValueError, match="read-only"):
+                mod.lmat(n)[0, 0] = 1.0
 
 
 def test_graded_block_structure(mod12):
@@ -330,7 +349,8 @@ def test_module_json_round_trip(mod8):
     back = module_from_dict(json.loads(text))
     assert back.dims == mod8.dims
     for n in range(-mod8.lmax, mod8.lmax + 1):
-        assert np.abs(back.lmat(n) - mod8.lmat(n)).max() < 1e-15
+        assert back.lmat(n).dtype == np.float64
+        assert np.array_equal(back.lmat(n), mod8.lmat(n))
 
 
 def test_serialization_deterministic():
@@ -385,7 +405,7 @@ def test_level_blocks_are_the_real_blocks_of_lmat(mod8):
             k = next(k for k in range(mod8.N + 1) if off[k] == src.start)
             assert (dst.start, dst.stop) == (off[k - n], off[k - n + 1])
             rebuilt[dst, src] = block
-        assert np.array_equal(rebuilt, mod8.lmat(n).real)
+        assert np.array_equal(rebuilt, mod8.lmat(n))
 
 
 def test_level_blocks_are_built_once_under_threads():
