@@ -11,6 +11,8 @@ intertwining relations for transported fields, and holomorphic dependence
 on parameters.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ArgumentError,
     EvolutionError,
@@ -87,6 +89,8 @@ from .virmod import (
     sobolev_norm,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules; they are not API
+__all__ = sorted(name for name, obj in globals().items()
+                 if not (name.startswith("_") or isinstance(obj, _ModuleType)))
 
 __version__ = "0.1.0"

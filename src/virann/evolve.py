@@ -19,8 +19,12 @@ Every ODE of the package (these matrix solves, the field transport of
 ``rep`` and the circle flow of ``annulus.element_from_path``) is stepped
 by one RK45 loop, ``_sweep``, that repeats scipy's arithmetic (tests hold
 it to exact equality with ``solve_ivp``) on buffers allocated per call.
-A caller that needs intermediate states names their times up front
-(``at``); each is read from the dense output of the step that reaches it.
+Its tableau is held here: the Dormand-Prince 5(4) pair (Dormand and
+Prince, J. Comput. Appl. Math. 6, 1980) with Shampine's dense output
+(Math. Comp. 46, 1986), written as scipy's ``RK45`` writes it; a test
+holds the two equal.  A caller that needs intermediate states names their
+times up front (``at``); each is read from the dense output of the step
+that reaches it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import RK45
 from scipy.linalg import expm
 
 from .errors import ArgumentError, EvolutionError
@@ -37,6 +40,36 @@ from .field import FieldPath, VectorField, adjoint_field, pi_field
 from .virmod import ModuleData
 
 DEFAULT_ODE_TOL = 1e-10
+
+# The RK45 tableau, with scipy's float expressions: nodes C, stage
+# coefficients A, 5th-order weights B, error weights E (5th minus 4th
+# order, with the FSAL stage) and the dense-output polynomial P.
+N_STAGES = 6
+ERROR_ESTIMATOR_ORDER = 4
+C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+              1/40])
+P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
 
 @dataclass
@@ -168,7 +201,7 @@ def _initial_step(rhs, t0: float, y0, t_bound: float, f0, direction,
     f1 = rhs(t0 + h0 * direction, work)
     d2 = _rms(np.divide(np.subtract(f1, f0, out=work), scale, out=work)) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1 / (RK45.error_estimator_order + 1)))
+          else (0.01 / max(d1, d2)) ** (1 / (ERROR_ESTIMATOR_ORDER + 1)))
     return min(100 * h0, h1, interval_length)
 
 
@@ -176,14 +209,16 @@ def _sweep(rhs, segments, y0, tol: float, at=()):
     """The one stepping loop: adaptive RK45 solves over segments in turn.
 
     Returns (y_end, steps, nfev, states at the times in ``at``).  It is
-    scipy's ``RK45`` (its Dormand-Prince tableau, atol = rtol = tol)
-    repeated operation for operation, so steps, evaluations, end state
-    and dense values equal ``solve_ivp``'s on each segment.  The stage
-    array K and the work vectors are allocated once per call and filled
-    in place; nothing outlives the call but the returned states.  Each
-    time in ``at`` is read from the dense output K^T P of the first step
-    that reaches it.  A time outside every segment raises ArgumentError;
-    a non-finite initial step or one below 10 ulp of t, EvolutionError.
+    scipy's ``RK45`` (atol = rtol = tol) repeated operation for operation,
+    on the tableau held in this module (Dormand and Prince 1980, with
+    Shampine's 1986 dense output; equal to scipy's by test), so steps,
+    evaluations, end state and dense values equal ``solve_ivp``'s on each
+    segment.  The stage array K and the work vectors are allocated once
+    per call and filled in place; nothing outlives the call but the
+    returned states.  Each time in ``at`` is read from the dense output
+    K^T P of the first step that reaches it.  A time outside every segment
+    raises ArgumentError; a non-finite initial step or one below 10 ulp of
+    t, EvolutionError.
     """
     for x in at:
         if not any(min(a, b) <= x <= max(a, b) for a, b in segments):
@@ -193,8 +228,8 @@ def _sweep(rhs, segments, y0, tol: float, at=()):
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
     y_new, work = np.empty_like(y), np.empty_like(y)
     scale, mag = np.empty(y.size), np.empty(y.size)
-    K = np.empty((RK45.n_stages + 1, y.size), dtype=y.dtype)
-    exponent = -1 / (RK45.error_estimator_order + 1)
+    K = np.empty((N_STAGES + 1, y.size), dtype=y.dtype)
+    exponent = -1 / (ERROR_ESTIMATOR_ORDER + 1)
     steps = nfev = 0
     for a, b in segments:
         t, t_end = float(a), float(b)
@@ -220,21 +255,21 @@ def _sweep(rhs, segments, y0, tol: float, at=()):
                     t_new = t_end
                 h = t_new - t
                 h_abs = np.abs(h)
-                for s in range(1, RK45.n_stages):
-                    np.dot(K[:s].T, RK45.A[s, :s], out=work)
+                for s in range(1, N_STAGES):
+                    np.dot(K[:s].T, A[s, :s], out=work)
                     work *= h
                     work += y
-                    K[s] = rhs(t + RK45.C[s] * h, work)
-                np.dot(K[:-1].T, RK45.B, out=y_new)
+                    K[s] = rhs(t + C[s] * h, work)
+                np.dot(K[:-1].T, B, out=y_new)
                 y_new *= h
                 y_new += y
                 K[-1] = rhs(t + h, y_new)
-                nfev += RK45.n_stages
+                nfev += N_STAGES
                 np.maximum(np.abs(y, out=scale), np.abs(y_new, out=mag),
                            out=scale)
                 scale *= tol
                 scale += tol
-                np.dot(K.T, RK45.E, out=work)
+                np.dot(K.T, E, out=work)
                 work *= h
                 error_norm = _rms(np.divide(work, scale, out=work))
                 if error_norm < 1:
@@ -248,7 +283,7 @@ def _sweep(rhs, segments, y0, tol: float, at=()):
             reached = [i for i, x in pending.items()
                        if min(t, t_new) <= x <= max(t, t_new)]
             if reached:
-                Q = K.T.dot(RK45.P)
+                Q = K.T.dot(P)
                 for i in reached:
                     x = (pending.pop(i) - t) / h
                     values[i] = h * np.dot(Q, np.cumprod([x] * Q.shape[1])) + y

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from virann.annulus import (
+    EXTRACT_INWARD_TOL,
     AnnulusElement,
     CompositeFieldPath,
     Framing,
     FramingHomotopy,
+    _homotopy_ratio_fields,
     _smoothstep,
     _smoothstep_inverse,
     _spectral_dtheta,
@@ -26,12 +28,10 @@ from virann.annulus import (
     identity_element,
     radial_framing,
     standard_element,
-    validate_framing,
-    witt_compatibility_residual,
 )
 from virann.errors import (ArgumentError, EvolutionError, GridError,
                            NotInwardError, TruncationError)
-from virann.field import FieldPath, VectorField, to_theta
+from virann.field import FieldPath, VectorField, to_theta, witt_bracket
 from virann.rep import represent
 from virann.verify import (BIGON_ARCS, _shallow_path, bigon_gap,
                            bigon_perturbation, wiggle_homotopy)
@@ -53,6 +53,97 @@ def path_gap(p1, p2, times=np.linspace(0.0, 1.0, 17)) -> float:
         a, b = p1.field_at(float(t)), p2.field_at(float(t))
         for n in set(a.coeffs) | set(b.coeffs):
             worst = max(worst, abs(a.coeff(n) - b.coeff(n)))
+    return worst
+
+
+def winding(curve: np.ndarray, center: complex) -> int:
+    rel = np.angle(curve - center)
+    total = np.diff(np.concatenate([rel, rel[:1]]))
+    total = (total + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(total.sum() / (2.0 * np.pi)))
+
+
+def validate_framing(f: Framing) -> dict:
+    """Diagnostics: tangent size, Jacobian sign, windings, inwardness margin.
+
+    Never raises; callers decide what to do with a failing report.
+    """
+    h_theta = _spectral_dtheta(f.grid)
+    h_t = np.gradient(f.grid, f.knots, axis=0, edge_order=2)
+    jac = np.imag(np.conj(h_theta) * h_t)
+    scale = float(np.abs(f.grid).max())
+    center = complex(f.grid[-1].mean())  # inside the inner curve
+    report = {
+        "min_tangent": float(np.abs(h_theta).min()),
+        "min_jacobian": float(jac.min()),
+        "winding_out": winding(f.out_curve(), center),
+        "winding_in": winding(f.in_curve(), center),
+        "scale": scale,
+    }
+    try:
+        path = framing_path(f)
+        report["inward_margin"] = float(path.max_inward_margin())
+    except (GridError, NotInwardError, TruncationError) as err:
+        report["inward_margin"] = np.inf
+        report["extraction_error"] = str(err)
+    report["ok"] = bool(
+        report["min_tangent"] > 1e-8 * scale
+        and report["min_jacobian"] > -1e-8 * scale * scale
+        and report["winding_out"] == 1
+        and report["winding_in"] == 1
+        and report["inward_margin"] <= EXTRACT_INWARD_TOL
+    )
+    return report
+
+
+def witt_compatibility_residual(H: FramingHomotopy) -> float:
+    """Max coefficient residual of dY/dt - dX/du = [X, Y] on the grid.
+
+    X, Y are the generator fields (minus the raw ratios) in stored
+    coordinates.  Finite differences in t and u, so the residual is
+    O(knot spacing squared) for smooth homotopies.
+    """
+    Xr, Yr = _homotopy_ratio_fields(H)
+    nu, nt = len(Xr), len(Xr[0])
+    X = [[(-1.0) * Xr[l][i] for i in range(nt)] for l in range(nu)]
+    Y = [[(-1.0) * Yr[l][i] for i in range(nt)] for l in range(nu)]
+
+    def stencil(axis_knots, a):
+        # 3-point Lagrange derivative weights: second order at ends too
+        n = len(axis_knots)
+        i0 = min(max(a - 1, 0), n - 3)
+        xa, xb, xc = (float(axis_knots[i0 + k]) for k in range(3))
+        x = float(axis_knots[a])
+        wa = (2.0 * x - xb - xc) / ((xa - xb) * (xa - xc))
+        wb = (2.0 * x - xa - xc) / ((xb - xa) * (xb - xc))
+        wc = (2.0 * x - xa - xb) / ((xc - xa) * (xc - xb))
+        return i0, (wa, wb, wc)
+
+    def grad(table, axis_knots, along_u: bool):
+        out = [[None] * nt for _ in range(nu)]
+        n = len(axis_knots)
+        for a in range(n):
+            i0, ws = stencil(axis_knots, a)
+            for b in range(nt if along_u else nu):
+                if along_u:
+                    acc = ws[0] * table[i0][b] + ws[1] * table[i0 + 1][b] \
+                        + ws[2] * table[i0 + 2][b]
+                    out[a][b] = acc
+                else:
+                    acc = ws[0] * table[b][i0] + ws[1] * table[b][i0 + 1] \
+                        + ws[2] * table[b][i0 + 2]
+                    out[b][a] = acc
+        return out
+
+    dY_dt = grad(Y, H.tknots, along_u=False)
+    dX_du = grad(X, H.uknots, along_u=True)
+
+    worst = 0.0
+    for l in range(nu):
+        for i in range(nt):
+            res = dY_dt[l][i] - dX_du[l][i] - witt_bracket(X[l][i], Y[l][i])
+            worst = max(worst, max((abs(a) for a in res.coeffs.values()),
+                                   default=0.0))
     return worst
 
 

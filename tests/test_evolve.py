@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import DOP853, RK23, RK45, solve_ivp
 from scipy.linalg import expm
 
+from virann import evolve
 from virann.errors import ArgumentError, EvolutionError
 from virann.evolve import (
     DEFAULT_ODE_TOL,
@@ -137,6 +138,19 @@ def test_ode_dop853_variant(noncommuting_path):
 
 def test_cross_validation_small_amplitude(mod6, rng):
     assert product_limit_gap(mod6, rng, 5) < 1e-7
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "E", "P"])
+def test_tableau_is_scipys(name):
+    # the loop's bit-for-bit equality with solve_ivp rests on these arrays
+    held, scipys = getattr(evolve, name), getattr(RK45, name)
+    assert held.dtype == scipys.dtype
+    assert np.array_equal(held, scipys)
+
+
+def test_tableau_order_and_stage_count_are_scipys():
+    assert (evolve.N_STAGES, evolve.ERROR_ESTIMATOR_ORDER) == (6, 4)
+    assert (RK45.n_stages, RK45.error_estimator_order) == (6, 4)
 
 
 def test_sweep_steps_like_solve_ivp(noncommuting_path):
