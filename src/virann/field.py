@@ -78,9 +78,6 @@ class VectorField:
         inner = ", ".join(f"{n}: {a:.6g}" for n, a in sorted(self.coeffs.items()))
         return f"VectorField({{{inner}}})"
 
-    def norm1(self) -> float:
-        return float(sum(abs(a) for a in self.coeffs.values()))
-
     def to_dict(self) -> dict:
         return {"modes": [[n, float(a.real), float(a.imag)]
                           for n, a in sorted(self.coeffs.items())]}
@@ -226,11 +223,12 @@ def pi_field(X: VectorField, module: ModuleData,
 
     Without ``V``: the dense matrix sum_n a_n lmat(n).  With ``V`` of shape
     (dim,) or (dim, m): pi(X) @ V, with pi(X) never formed.  L_n maps
-    level k to level k - n by a real block (``ModuleData.level_blocks``),
-    so each mode n != 0 costs one real matrix product per level, of the
-    block with the real view of V's level-k rows; the result is scaled by
-    the complex a_n and added into the rows of level k - n.  Mode 0
-    scales row k by a_0 (h + k).  The empty field gives exact zeros.
+    level k to level k - n by a real block (``ModuleData.level_blocks``,
+    views into L_n cut once when the module is constructed), so each mode
+    n != 0 costs one real matrix product per level, of the block with the
+    real view of V's level-k rows; the result is scaled by the complex a_n
+    and added into the rows of level k - n.  Mode 0 scales row k by
+    a_0 (h + k).  The empty field gives exact zeros.
     """
     if X.maxmode > module.lmax:
         raise ModuleRangeError(

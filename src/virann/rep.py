@@ -327,13 +327,13 @@ def _window_pairing(acoeffs: dict, y: np.ndarray, W: int, c: float) -> complex:
     return complex(c) * total / 12.0
 
 
-def transport_field(f0: VectorField, path: FieldPath,
-                    tol: float = DEFAULT_ODE_TOL, c: float | None = None):
+def transport_field(f0: VectorField, path: FieldPath, c: float,
+                    tol: float = DEFAULT_ODE_TOL):
     """Transport of a field along a generator path: f' = [X(t), f].
 
     Returns (FieldPath of f(t), pairing), where the pairing is the time
     integral of the central pairing of X(t) with f(t) at central charge
-    ``c``, or None when ``c`` is None.  The bracket in mode coefficients
+    ``c``.  The bracket in mode coefficients
     is the convolution (f')_k = sum_m (2m - k) a_m f_{k-m}.  The reporting
     half-width is 2 * (path modes + f0 modes) plus a fixed four-mode
     apron: mass decays geometrically past the nominal width on any
@@ -349,14 +349,12 @@ def transport_field(f0: VectorField, path: FieldPath,
     W = max(2 * (M + F), 1) + 4
     Wi = W + 2 * max(M, 1) + 6
     ks = np.arange(-Wi, Wi + 1)
-    y0 = np.zeros(2 * Wi + 1 + (1 if c is not None else 0), dtype=complex)
+    y0 = np.zeros(2 * Wi + 2, dtype=complex)
     for n, a in f0.coeffs.items():
         y0[n + Wi] = a
 
     def rhs(x, y):
         a = path.field_at(x).coeffs
-        if c is None:
-            return _window_bracket(a, y, Wi, ks)
         out = np.empty_like(y)
         out[:-1] = _window_bracket(a, y[:-1], Wi, ks)
         out[-1] = _window_pairing(a, y[:-1], Wi, c)
@@ -386,8 +384,7 @@ def transport_field(f0: VectorField, path: FieldPath,
 
     fields = [materialize(y) for y in (*ys, yend)]
     fpath = FieldPath(list(ts), fields)
-    pairing = complex(yend[-1]) if c is not None else None
-    return fpath, pairing
+    return fpath, complex(yend[-1])
 
 
 def segal_residual(E, f0: VectorField, module: ModuleData,
@@ -402,8 +399,8 @@ def segal_residual(E, f0: VectorField, module: ModuleData,
     path, or an already-represented element (reused without re-solving).
     """
     R = _ensure_represented(E, module, tol)
-    fpath, pairing = transport_field(f0, R.path, tol,
-                                     c=float(module.params.c))
+    fpath, pairing = transport_field(f0, R.path, float(module.params.c),
+                                     tol)
     f1 = fpath.fields[-1]
     if f1.maxmode > module.lmax:
         keep = {n: a for n, a in f1.coeffs.items() if abs(n) <= module.lmax}

@@ -814,11 +814,12 @@ def run_config(cfg: dict, workers: int | None = None) -> dict:
     The whole run, module build included, holds every loaded OpenBLAS on
     one thread (see ``_blas``; the pin is process-wide while run_config
     runs, and the previous counts come back when it returns or raises).
-    Suites run concurrently (thread pool, default up to 4 workers) without
-    oversubscribing the cores, and rows are aggregated in registry order
-    regardless of completion order, so the rows are a function of
-    (config, seed).  Only the seconds and cpu_s columns and the report's
-    environment block vary between runs.
+    Every run sends its suites through one thread pool, workers=1
+    included (default up to 4 workers; the pool starts no more threads
+    than there are suites), without oversubscribing the cores.  Rows are
+    aggregated in registry order regardless of completion order, so the
+    rows are a function of (config, seed).  Only the seconds and cpu_s
+    columns and the report's environment block vary between runs.
     """
     with _blas.one_thread() as blas_threads:
         cfg = normalize_config(cfg)
@@ -833,20 +834,14 @@ def run_config(cfg: dict, workers: int | None = None) -> dict:
         module = build_module(params)
 
         if workers is None:
-            workers = min(4, max(1, len(names)))
-        pooled = workers > 1 and len(names) > 1
+            workers = min(4, len(names))
+        workers = max(1, workers) if len(names) > 1 else 1
         results: list[dict] = []
-        if pooled:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(SUITES[n], module, cfg["tol"],
-                                    suite_rng(cfg["seed"], n)) for n in names]
-                for f in futs:
-                    results.extend(r.to_row() for r in f.result())
-        else:
-            for n in names:
-                results.extend(r.to_row() for r in
-                               SUITES[n](module, cfg["tol"],
-                                         suite_rng(cfg["seed"], n)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futs = [pool.submit(SUITES[n], module, cfg["tol"],
+                                suite_rng(cfg["seed"], n)) for n in names]
+            for f in futs:
+                results.extend(r.to_row() for r in f.result())
 
     npass = sum(1 for r in results if r["pass"])
     c, h = params.as_floats()
@@ -857,6 +852,5 @@ def run_config(cfg: dict, workers: int | None = None) -> dict:
         "results": results,
         "counts": {"pass": npass, "fail": len(results) - npass},
         "passed": npass == len(results),
-        "environment": _environment(blas_threads,
-                                    workers if pooled else 1),
+        "environment": _environment(blas_threads, workers),
     }

@@ -9,9 +9,10 @@ A module is built from the free (Verma) action on words L_{-p1}...L_{-pk} v,
 indexed by integer partitions, by quotienting null directions of the invariant
 inner product and orthonormalizing level by level.  Everything at or below a
 cutoff level N is kept; the matrices ``lmat(n)`` are the compressions of L_n
-to the truncation.  They are real in the orthonormal basis, so a built
-module stores each L_n with n >= 0 once, in float64, and ``lmat(-n)`` is
-the transposed view of ``lmat(n)``.  On vectors supported in levels
+to the truncation.  They are real in the orthonormal basis, so a module,
+built or loaded, stores each L_n with n >= 1 once, in float64; L_0 is the
+diagonal h + k, ``lmat(-n)`` is the transposed view of ``lmat(n)``, and
+every level block is a view into its L_n.  On vectors supported in levels
 <= N - |n| the compression acts exactly as the infinite-dimensional
 operator, which is what makes the truncated identities testable at tight
 tolerances.
@@ -23,8 +24,8 @@ tests) or floats; the reduction code is generic over both.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -286,37 +287,56 @@ def _scale_unit_diagonal(g: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# the built module
+# the module
 
 
-@dataclass
 class ModuleData:
-    """A built truncation: orthonormal graded basis plus compressed L_n.
+    """A truncation: graded orthonormal basis plus the compressed L_n.
 
-    dims[k] is the surviving dimension at level k after the null quotient;
-    ``lmat(n)`` is dense float64 of shape (dim, dim), graded so that its only
-    nonzero blocks map level k to level k - n; ``level_blocks`` hands those
-    blocks out for the products of ``field.pi_field``.  A built module
-    stores L_{-n} as the transposed view of L_n, so the two share memory.
-    ``lmat_by_n`` is read-only after the build, and every stored matrix is
-    flagged so: the blocks are derived from it once and cached.
+    ``ModuleData(params, dims, lmats)`` is the one constructor, for built
+    and loaded modules alike.  dims[k] is the surviving dimension at level
+    k after the null quotient, and ``lmats`` holds the real (dim, dim)
+    matrices L_1, ..., L_lmax, each zero outside the blocks that map level
+    k to level k - n.  The constructor derives L_0 = diag(h + k), sets
+    L_{-n} to the transposed view of L_n (L_n* = L_{-n} in a real
+    orthonormal basis), flags every matrix read-only and cuts each nonzero
+    level block of every |n| <= lmax once, as a view into L_n, for the
+    products of ``field.pi_field``.  ``lmat_by_n`` maps n to L_n.
     """
 
-    params: ModuleParams
-    dims: tuple[int, ...]
-    basis: tuple[tuple[Partition, ...], ...]
-    ortho: list[np.ndarray]
-    gram: list[np.ndarray]
-    lmax: int
-    lmat_by_n: dict[int, np.ndarray]
-    _blocks: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
-    _blocks_lock: threading.Lock = field(default_factory=threading.Lock,
-                                         init=False, repr=False, compare=False)
+    def __init__(self, params: ModuleParams, dims: Sequence[int],
+                 lmats: Sequence[np.ndarray]):
+        self.params = params
+        self.dims = tuple(dims)
+        self.lmat_by_n = {0: _read_only(np.diag(self.weights()))}
+        for n, mat in enumerate(lmats, start=1):
+            self.lmat_by_n[n] = _read_only(mat)
+            self.lmat_by_n[-n] = mat.T
+        off = self.level_offsets
+        self._blocks = {}
+        for n, mat in self.lmat_by_n.items():
+            blocks = []
+            for k in range(max(n, 0), self.N + 1 + min(n, 0)):
+                dst = slice(off[k - n], off[k - n + 1])
+                src = slice(off[k], off[k + 1])
+                block = mat[dst, src]
+                if block.any():
+                    blocks.append((dst, src, block))
+            self._blocks[n] = tuple(blocks)
 
     @property
     def N(self) -> int:
         return self.params.N
+
+    @property
+    def lmax(self) -> int:
+        return len(self.lmat_by_n) // 2
+
+    @property
+    def basis(self) -> tuple[tuple[Partition, ...], ...]:
+        """Partition labels of the Verma module's levels 0..N, before the
+        null quotient."""
+        return enumerate_basis(self.N)
 
     @property
     def dim(self) -> int:
@@ -324,11 +344,7 @@ class ModuleData:
 
     @property
     def level_offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
-
-    def level_slice(self, k: int) -> slice:
-        off = self.level_offsets
-        return slice(off[k], off[k + 1])
+        return _level_offsets(self.dims)
 
     def level_index(self) -> np.ndarray:
         """Level of each coordinate, shape (dim,)."""
@@ -338,38 +354,21 @@ class ModuleData:
         """L_0 eigenvalue h + k of each coordinate."""
         return float(self.params.h) + self.level_index().astype(float)
 
-    def lmat(self, n: int) -> np.ndarray:
+    def _check_mode(self, n: int) -> None:
         if abs(n) > self.lmax:
             raise ModuleRangeError(
                 f"module built with lmax = {self.lmax}, no matrix for L_{n}"
             )
+
+    def lmat(self, n: int) -> np.ndarray:
+        self._check_mode(n)
         return self.lmat_by_n[n]
 
     def level_blocks(self, n: int) -> tuple[tuple[slice, slice, np.ndarray], ...]:
         """The level blocks of L_n: (rows of level k - n, rows of level
-        k, block) for every level k whose block is nonzero.
-
-        Read once from ``lmat(n)`` on first use and cached, so only the
-        modes in use are stored; safe to call from several threads.  The
-        cache assumes ``lmat_by_n`` is read-only after the build.
-        """
-        blocks = self._blocks.get(n)
-        if blocks is not None:
-            return blocks
-        with self._blocks_lock:
-            blocks = self._blocks.get(n)
-            if blocks is None:
-                mat = self.lmat(n)
-                off = self.level_offsets
-                found = []
-                for k in range(max(n, 0), self.N + 1 + min(n, 0)):
-                    dst = slice(off[k - n], off[k - n + 1])
-                    src = slice(off[k], off[k + 1])
-                    block = np.ascontiguousarray(mat[dst, src])
-                    if block.any():
-                        found.append((dst, src, block))
-                blocks = self._blocks[n] = tuple(found)
-        return blocks
+        k, block) for every level k whose block is nonzero."""
+        self._check_mode(n)
+        return self._blocks[n]
 
     def protected_dim(self, budget: int) -> int:
         """Dimension of the span of levels <= N - budget."""
@@ -395,9 +394,8 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
     ``nulltol``, and orthonormalize.  Raises NonUnitaryError on an eigenvalue
     that is negative beyond tolerance.  ``lmax`` bounds which L_n matrices are
     assembled (default: all |n| <= N).  Each L_n with n >= 1 is assembled
-    once as a real matrix; L_{-n} is its transposed view, with no copy,
-    which is exact for the compression since L_n* = L_{-n} and the
-    orthonormal basis is real.  Every stored matrix is read-only.
+    once as a real matrix and handed to the ``ModuleData`` constructor,
+    which derives the rest.
 
     Numerical note: the partition-monomial basis becomes severely
     ill-conditioned with level (normalized gram condition ~1e8 at level 12),
@@ -421,8 +419,6 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
         oracle = VirasoroOracle(_to_longdouble(params.c), _to_longdouble(params.h))
     basis = enumerate_basis(N)
 
-    grams: list[np.ndarray] = []
-    ortho: list[np.ndarray] = []
     ortho_ld: list[np.ndarray] = []
     gram_ld: list[np.ndarray] = []
     dims: list[int] = []
@@ -432,12 +428,9 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
             [[_to_longdouble(x) for x in row] for row in oracle.gram(k)],
             dtype=np.longdouble,
         )
-        g = g_ld.astype(float)
-        grams.append(g)
         gram_ld.append(g_ld)
-        scaled, (keep, scale) = _scale_unit_diagonal(g)
+        scaled, (keep, scale) = _scale_unit_diagonal(g_ld.astype(float))
         if scaled.size == 0:
-            ortho.append(np.zeros((len(basis[k]), 0)))
             ortho_ld.append(np.zeros((len(basis[k]), 0), dtype=np.longdouble))
             dims.append(0)
             continue
@@ -462,18 +455,11 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
                 break
             b = b @ (ident - 0.5 * e)
         ortho_ld.append(b)
-        ortho.append(b.astype(float))
         dims.append(d)
 
-    data = ModuleData(
-        params=params, dims=tuple(dims), basis=basis, ortho=ortho,
-        gram=grams, lmax=lmax, lmat_by_n={})
-
-    dim = data.dim
-    offsets = data.level_offsets
-    weights = data.weights()
-
-    data.lmat_by_n[0] = _read_only(np.diag(weights))
+    offsets = _level_offsets(dims)
+    dim = int(offsets[-1])
+    lmats = []
     for n in range(1, lmax + 1):
         mat = np.zeros((dim, dim))
         for k in range(n, N + 1):
@@ -489,9 +475,12 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
             gb = gram_ld[k - n] @ ortho_ld[k - n]
             block = (gb.T @ (cmat @ ortho_ld[k])).astype(float)
             mat[offsets[k - n]:offsets[k - n + 1], offsets[k]:offsets[k + 1]] = block
-        data.lmat_by_n[n] = _read_only(mat)
-        data.lmat_by_n[-n] = mat.T
-    return data
+        lmats.append(mat)
+    return ModuleData(params, dims, lmats)
+
+
+def _level_offsets(dims) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -543,13 +532,14 @@ def module_from_dict(data: dict) -> ModuleData:
     """Inverse of ``module_to_dict``.
 
     Raises ArgumentError unless c, h and every matrix entry are finite and
-    every L_n has the graded shape of a module: a (dim, dim) matrix, zero
-    outside the level blocks that map level k to level k - n, and real.
-    L_0 must be the diagonal h + k.  The block products of
-    ``field.pi_field`` read exactly that structure, so a file breaking it
-    would otherwise act as another operator.  The checked matrices are
-    stored as their real parts, in float64 and read-only; L_n and L_{-n}
-    are both kept as the file gives them.
+    every L_n with n >= 0 has the graded shape of a module: a (dim, dim)
+    matrix, zero outside the level blocks that map level k to level k - n,
+    and real.  L_0 must be the diagonal h + k.  The file lists L_n for
+    every n in 1..lmax; an L_{-n} it lists must be exactly the transpose of
+    L_n.  The block products of ``field.pi_field`` read exactly that
+    structure, so a file breaking it would otherwise act as another
+    operator.  The real parts of L_1..L_lmax go to the ``ModuleData``
+    constructor, which derives L_0 and every L_{-n}.
     """
     c, h = float(data["c"]), float(data["h"])
     if not (math.isfinite(c) and math.isfinite(h)):
@@ -560,21 +550,27 @@ def module_from_dict(data: dict) -> ModuleData:
         raise ArgumentError(f"dims lists {len(dims)} levels, N = {params.N} "
                             f"needs {params.N + 1}")
     lmat = {int(n): _complex_matrix_from_json(m) for n, m in data["lmat"].items()}
-    lmax = max((abs(n) for n in lmat), default=0)
-    module = ModuleData(
-        params=params, dims=dims, basis=enumerate_basis(params.N),
-        ortho=[], gram=[], lmax=lmax, lmat_by_n=lmat)
-    _check_graded(module)
-    module.lmat_by_n = {n: _read_only(np.ascontiguousarray(m.real))
-                        for n, m in lmat.items()}
-    return module
+    for n in sorted(lmat):
+        if n < 0 and -n not in lmat:
+            raise ArgumentError(f"lmat {n} is given without lmat {-n}")
+    lmax = max(lmat, default=0)
+    missing = [n for n in range(1, lmax) if n not in lmat]
+    if missing:
+        raise ArgumentError(f"lmat lists modes up to {lmax} but not {missing}")
+    _check_graded(h, dims, {n: m for n, m in lmat.items() if n >= 0})
+    for n in range(1, lmax + 1):
+        if -n in lmat and not np.array_equal(lmat[-n], lmat[n].T):
+            raise ArgumentError(f"lmat {-n} is not exactly the transpose of "
+                                f"lmat {n}")
+    return ModuleData(params, dims, [np.ascontiguousarray(lmat[n].real)
+                                     for n in range(1, lmax + 1)])
 
 
-def _check_graded(module: ModuleData) -> None:
-    dim = module.dim
-    level = module.level_index()
+def _check_graded(h: float, dims: tuple[int, ...], mats: dict) -> None:
+    level = np.repeat(np.arange(len(dims)), dims)
+    dim = level.size
     shift = level[None, :] - level[:, None]  # n of the blocks holding (i, j)
-    for n, m in sorted(module.lmat_by_n.items()):
+    for n, m in sorted(mats.items()):
         if m.shape != (dim, dim):
             raise ArgumentError(f"lmat {n} has shape {m.shape}, the dims "
                                 f"give ({dim}, {dim})")
@@ -583,7 +579,7 @@ def _check_graded(module: ModuleData) -> None:
         if m.imag.any():
             raise ArgumentError(f"lmat {n} has a nonzero imaginary part")
         if n == 0:  # the diagonal h + k, to the rounding of a text file
-            w = module.weights()
+            w = h + level.astype(float)
             outside = np.abs(m.real - np.diag(w)) > 1e-13 * w.max(initial=1.0)
         else:
             outside = np.where(shift == n, 0.0, m.real)

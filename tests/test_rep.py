@@ -233,7 +233,7 @@ class TestTransport:
         r = 0.7
         path = FieldPath.constant_path(VectorField({0: np.log(r)}))
         for n in (-2, 1, 3):
-            fp, _ = transport_field(VectorField({n: 1.0}), path)
+            fp, _ = transport_field(VectorField({n: 1.0}), path, c=2.0)
             for t in (0.25, 0.5, 1.0):
                 got = fp.field_at(t).coeff(n)
                 assert abs(got - r ** (-n * t)) < 1e-6
@@ -241,12 +241,12 @@ class TestTransport:
 
     def test_generator_is_fixed_point(self):
         X = VectorField({0: np.log(0.7)})
-        fp, _ = transport_field(X, FieldPath.constant_path(X))
+        fp, _ = transport_field(X, FieldPath.constant_path(X), c=2.0)
         assert all(f == X for f in fp.fields)
 
     def test_rotation_gives_phases(self):
         path = FieldPath.constant_path(VectorField({0: 0.4j}))
-        fp, _ = transport_field(VectorField({2: 1.0}), path)
+        fp, _ = transport_field(VectorField({2: 1.0}), path, c=2.0)
         assert abs(fp.fields[-1].coeff(2) - np.exp(-0.8j)) < 1e-9
 
     def test_closed_mode_triple_stays_closed(self):
@@ -254,23 +254,23 @@ class TestTransport:
         for m, amp in ((2, 0.1), (3, 2.0)):
             X = VectorField({m: amp, -m: amp, 0: -0.3})
             fp, _ = transport_field(VectorField({0: 1.0}),
-                                    FieldPath.constant_path(X))
+                                    FieldPath.constant_path(X), c=2.0)
             assert set(fp.fields[-1].support) <= {-m, 0, m}
 
     def test_endpoints(self):
         X = VectorField({1: 0.05, 0: -0.2})
         fp, pairing = transport_field(VectorField({1: 1.0}),
-                                      FieldPath.constant_path(X))
+                                      FieldPath.constant_path(X), c=2.0)
         assert fp.knots[0] == 0.0 and fp.knots[-1] == 1.0
         assert abs(fp.fields[0].coeff(1) - 1.0) < 1e-12
-        assert pairing is None
+        assert pairing == 0  # no central term between modes of order <= 1
 
     def test_runaway_overflow_raises(self):
         # seeding off the closed triple makes the brackets spread for real
         path = FieldPath.constant_path(VectorField({3: 2.0, -3: 2.0,
                                                     0: -0.1}))
         with pytest.raises(TruncationError):
-            transport_field(VectorField({1: 1.0}), path)
+            transport_field(VectorField({1: 1.0}), path, c=2.0)
 
 
 # ---------------------------------------------------------------------------

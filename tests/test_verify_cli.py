@@ -153,6 +153,34 @@ class TestRepresent:
         assert code == 1
         assert "outside the level blocks" in capsys.readouterr().err
 
+    def test_module_file_with_another_adjoint_exit_one(
+            self, module_file, tmp_path, capsys):
+        doc = json.loads(module_file.read_text())
+        doc["lmat"]["-1"] = [[[2 * re_, im] for re_, im in row]
+                             for row in doc["lmat"]["-1"]]
+        bad = element_file(tmp_path, doc, name="bad.json")
+        el = element_file(tmp_path, {"kind": "identity"})
+        out = tmp_path / "r.json"
+        code = cli.main(["represent", str(bad), str(el), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: lmat -1 is not")
+        assert not out.exists()
+
+    def test_module_file_without_negative_modes(self, module_file, tmp_path):
+        doc = json.loads(module_file.read_text())
+        doc["lmat"] = {n: m for n, m in doc["lmat"].items() if int(n) >= 0}
+        half = element_file(tmp_path, doc, name="half.json")
+        el = element_file(tmp_path, {
+            "kind": "path", "knots": [0.0, 1.0],
+            "fields": [{"modes": [[0, -0.3, 0.0], [1, 0.02, 0.01]]},
+                       {"modes": [[0, -0.2, 0.1], [-1, 0.0, 0.02]]}]})
+        outs = [tmp_path / "full.json", tmp_path / "half.json.out"]
+        for mfile, out in zip((module_file, half), outs):
+            assert cli.main(["represent", str(mfile), str(el),
+                             "--out", str(out)]) == 0
+        assert read_matrix(outs[0])[0].tobytes() \
+            == read_matrix(outs[1])[0].tobytes()
+
     def test_missing_file(self, module_file, tmp_path):
         code = cli.main(["represent", str(module_file),
                          str(tmp_path / "nope.json")])
@@ -517,18 +545,23 @@ class TestBlasPin:
         both_inside = threading.Barrier(2, timeout=30)
         early_done = threading.Event()
         seen = {}
+        # suites run on pool threads, so the probe tells the runs apart
+        # by the tol each one passes
+        tols = {"early": 1e-10, "late": 2e-10}
 
-        def probe(*a):
+        def probe(module, tol, rng):
             both_inside.wait()
-            name = threading.current_thread().name
+            name = next(n for n, t in tols.items() if t == tol)
             if name == "late":
                 assert early_done.wait(timeout=30)
             seen[name] = _blas_counts()
             return []
 
         def run():
-            verify.run_config({**self.CFG, "suites": ["gram"]}, workers=1)
-            if threading.current_thread().name == "early":
+            name = threading.current_thread().name
+            verify.run_config({**self.CFG, "suites": ["gram"],
+                               "tol": tols[name]}, workers=1)
+            if name == "early":
                 early_done.set()
 
         monkeypatch.setitem(verify.SUITES, "gram", probe)

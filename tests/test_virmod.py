@@ -163,9 +163,9 @@ def test_ising_level_two_determinant_vanishes_exactly():
 
 
 def test_vacuum_level_one_is_null():
-    mod = build_module(ModuleParams(2.0, 0.0, 1))
-    assert mod.dims == (1, 0)
-    assert mod.gram[1].tolist() == [[0.0]]
+    params = ModuleParams(2.0, 0.0, 1)
+    assert build_module(params).dims == (1, 0)
+    assert gram_matrix(params, 1).tolist() == [[0.0]]
 
 
 def test_generic_point_keeps_everything():
@@ -230,26 +230,31 @@ def test_lmat_zero_is_diagonal_weights(mod12):
     assert np.abs(got - expect).max() == 0.0
 
 
+def _loaded(mod):
+    return module_from_dict(json.loads(json.dumps(module_to_dict(mod))))
+
+
 def test_adjoint_pairing_exact_by_construction(mod12):
-    for n in range(1, mod12.lmax + 1):
-        assert np.array_equal(mod12.lmat(-n), mod12.lmat(n).T)
-        assert np.shares_memory(mod12.lmat(-n), mod12.lmat(n))
+    for mod in (mod12, _loaded(mod12)):
+        for n in range(1, mod.lmax + 1):
+            assert np.array_equal(mod.lmat(-n), mod.lmat(n).T)
+            assert np.shares_memory(mod.lmat(-n), mod.lmat(n))
 
 
 def test_each_lmat_is_stored_once_as_a_real_matrix(mod12):
-    mats = [mod12.lmat(n) for n in range(-mod12.lmax, mod12.lmax + 1)]
-    assert all(m.dtype == np.float64 for m in mats)
-    owners = {id(o): o for o in (m if m.base is None else m.base
-                                 for m in mats)}
-    stored = sum(o.nbytes for o in owners.values())
-    assert stored <= (mod12.lmax + 1) * mod12.dim ** 2 * 8
+    for mod in (mod12, _loaded(mod12)):
+        mats = [mod.lmat(n) for n in range(-mod.lmax, mod.lmax + 1)]
+        assert all(m.dtype == np.float64 for m in mats)
+        owners = {id(o): o for o in (m if m.base is None else m.base
+                                     for m in mats)}
+        stored = sum(o.nbytes for o in owners.values())
+        assert stored <= (mod.lmax + 1) * mod.dim ** 2 * 8
 
 
 def test_stored_lmat_is_read_only():
     built = build_module(ModuleParams(2.0, 0.5, 4))
-    loaded = module_from_dict(json.loads(json.dumps(module_to_dict(built))))
-    for mod in (built, loaded):
-        for n in (-2, 0, 2):
+    for mod in (built, _loaded(built)):
+        for n in range(-mod.lmax, mod.lmax + 1):
             with pytest.raises(ValueError, match="read-only"):
                 mod.lmat(n)[0, 0] = 1.0
 
@@ -270,22 +275,37 @@ def test_bracket_on_protected_columns(mod12):
 
 
 def test_matrix_elements_match_exact_oracle():
-    """Float pipeline vs fully exact rational evaluation of <u_i, L_n u_j>."""
+    """The float matrices vs exact rational pairings of the cyclic vectors
+    L_{-lam} e_0, which do not depend on the module's basis."""
     mod = build_module(ModuleParams(F(2), F(1, 2), 6))
     oracle = VirasoroOracle(F(2), F(1, 2))
-    off = mod.level_offsets
-    for n in (1, 2, 3):
-        for k in range(n, mod.N + 1):
-            src, dst = mod.basis[k], mod.basis[k - n]
-            idx = {lam: i for i, lam in enumerate(dst)}
-            cmat = np.zeros((len(dst), len(src)))
-            for j, lam in enumerate(src):
-                for mu, coeff in oracle.apply_mode(n, lam).items():
-                    cmat[idx[mu], j] = float(coeff)
-            g = np.array([[float(x) for x in row] for row in oracle.gram(k - n)])
-            expect = mod.ortho[k - n].T @ g @ cmat @ mod.ortho[k]
-            got = mod.lmat(n)[off[k - n]:off[k - n + 1], off[k]:off[k + 1]]
-            assert np.abs(got - expect).max() < 1e-10
+    e0 = np.zeros(mod.dim)
+    e0[0] = 1.0
+
+    def cyclic(lam):  # L_{-lam_1} ... L_{-lam_k} e_0
+        v = e0
+        for part in reversed(lam):
+            v = mod.lmat(-part) @ v
+        return v
+
+    vecs = {lam: cyclic(lam) for level in mod.basis for lam in level}
+
+    def close(got, exact):
+        want = np.array(exact, dtype=float)
+        return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    for k in range(mod.N + 1):
+        vs = np.array([vecs[lam] for lam in mod.basis[k]])
+        assert close(vs @ vs.T, oracle.gram(k))
+    for n in (-2, -1, 1, 2, 3):
+        for k in range(max(n, 0), mod.N + 1 + min(n, 0)):
+            for lam in mod.basis[k]:
+                image = mod.lmat(n) @ vecs[lam]
+                got = [vecs[mu] @ image for mu in mod.basis[k - n]]
+                exact = [sum(coeff * oracle.pairing(mu, nu) for nu, coeff
+                             in oracle.apply_mode(n, lam).items())
+                         for mu in mod.basis[k - n]]
+                assert close(np.array(got), exact)
 
 
 def test_lmax_budget_enforced():
@@ -312,7 +332,6 @@ def test_sobolev_norm_examples():
     v[0] = 1.0
     assert abs(sobolev_norm(v, 1, m0) - 1.0) < 1e-15
     w = np.zeros(m0.dim, dtype=complex)
-    w[m0.level_slice(2)][:] = 0  # keep shape explicit
     w[m0.level_offsets[2]] = 1.0
     assert abs(sobolev_norm(w, 1, m0) - 3.0) < 1e-15
     mh = build_module(ModuleParams(2.0, 0.5, 2))
@@ -395,39 +414,47 @@ def test_module_file_dims_must_list_every_level(mod8):
         module_from_dict(doc)
 
 
+def test_module_file_lmat_minus_n_must_be_the_transpose(mod8):
+    doc = _module_doc_with(module_to_dict(mod8), -1, lambda m: 2 * m)
+    with pytest.raises(ArgumentError,
+                       match="lmat -1 is not exactly the transpose of lmat 1"):
+        module_from_dict(doc)
+
+
+def test_module_file_lists_every_mode_up_to_lmax(mod8):
+    doc = module_to_dict(mod8)
+    del doc["lmat"]["2"]
+    with pytest.raises(ArgumentError, match="lmat -2 is given without lmat 2"):
+        module_from_dict(doc)
+    del doc["lmat"]["-2"]
+    with pytest.raises(ArgumentError, match=r"up to 8 but not \[2\]"):
+        module_from_dict(doc)
+
+
+def test_module_file_without_negative_modes_loads(mod8):
+    doc = module_to_dict(mod8)
+    for n in range(1, mod8.lmax + 1):
+        del doc["lmat"][str(-n)]
+    back = module_from_dict(doc)
+    assert back.lmax == mod8.lmax
+    for n in range(-mod8.lmax, mod8.lmax + 1):
+        assert np.array_equal(back.lmat(n), mod8.lmat(n))
+
+
 def test_level_blocks_are_the_real_blocks_of_lmat(mod8):
     off = mod8.level_offsets
-    for n in (-3, -1, 1, 2):
-        blocks = mod8.level_blocks(n)
-        assert mod8.level_blocks(n) is blocks  # cached
-        rebuilt = np.zeros((mod8.dim, mod8.dim))
-        for dst, src, block in blocks:
-            k = next(k for k in range(mod8.N + 1) if off[k] == src.start)
-            assert (dst.start, dst.stop) == (off[k - n], off[k - n + 1])
-            rebuilt[dst, src] = block
-        assert np.array_equal(rebuilt, mod8.lmat(n))
-
-
-def test_level_blocks_are_built_once_under_threads():
-    import sys
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-    mod = build_module(ModuleParams(2.0, 0.5, 8))
-    modes = [n for n in range(-4, 5) if n]
-    workers = 8
-    start = threading.Barrier(workers, timeout=60)
-
-    def fetch(_):
-        start.wait()  # every thread meets the cold cache at once
-        return [mod.level_blocks(n) for n in modes]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            got = list(pool.map(fetch, range(workers), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    # a block list built twice would hand early callers another object
-    for blocks in got:
-        assert all(b is mod.level_blocks(n) for n, b in zip(modes, blocks))
+    for mod in (mod8, _loaded(mod8)):
+        for n in range(-mod.lmax, mod.lmax + 1):
+            blocks = mod.level_blocks(n)
+            assert mod.level_blocks(n) is blocks  # cut once
+            rebuilt = np.zeros((mod.dim, mod.dim))
+            for dst, src, block in blocks:
+                k = next(k for k in range(mod.N + 1) if off[k] == src.start)
+                assert (dst.start, dst.stop) == (off[k - n], off[k - n + 1])
+                assert block.base is not None  # a view, not a copy
+                assert np.shares_memory(block, mod.lmat(n))
+                assert np.shares_memory(block, mod.lmat(abs(n)))
+                rebuilt[dst, src] = block
+            assert np.array_equal(rebuilt, mod.lmat(n))
+        with pytest.raises(TruncationError):
+            mod.level_blocks(mod.lmax + 1)
