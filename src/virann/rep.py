@@ -333,8 +333,8 @@ def transport_field(f0: VectorField, path: FieldPath, c: float,
 
     Returns (FieldPath of f(t), pairing), where the pairing is the time
     integral of the central pairing of X(t) with f(t) at central charge
-    ``c``.  The bracket in mode coefficients
-    is the convolution (f')_k = sum_m (2m - k) a_m f_{k-m}.  The reporting
+    ``c``.  The bracket in mode coefficients is the convolution
+    (f')_k = sum_m (2m - k) a_m f_{k-m}.  The reporting
     half-width is 2 * (path modes + f0 modes) plus a fixed four-mode
     apron: mass decays geometrically past the nominal width on any
     transport that a window method can resolve at all, so the apron
@@ -349,7 +349,7 @@ def transport_field(f0: VectorField, path: FieldPath, c: float,
     W = max(2 * (M + F), 1) + 4
     Wi = W + 2 * max(M, 1) + 6
     ks = np.arange(-Wi, Wi + 1)
-    y0 = np.zeros(2 * Wi + 2, dtype=complex)
+    y0 = np.zeros(2 * Wi + 2, dtype=complex)  # the window, then the pairing
     for n, a in f0.coeffs.items():
         y0[n + Wi] = a
 
