@@ -60,7 +60,6 @@ from .field import (
     random_inward_field,
     random_inward_path,
     to_theta,
-    witt_bracket,
 )
 from .rep import (
     RepresentedAnnulus,

@@ -81,21 +81,6 @@ class Framing:
         """Boundary curve at t = 1 (incoming)."""
         return self.grid[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "G": self.G,
-            "knots": [float(t) for t in self.knots],
-            "h": [[[float(z.real), float(z.imag)] for z in row]
-                  for row in self.grid],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Framing":
-        grid = np.array([[complex(re, im) for re, im in row] for row in doc["h"]])
-        if grid.shape[1] != doc["G"]:
-            raise ArgumentError("grid width disagrees with declared G")
-        return cls(grid=grid, knots=np.asarray(doc["knots"], dtype=float))
-
 
 def _theta_modes(G: int) -> np.ndarray:
     return np.fft.fftfreq(G, d=1.0 / G).astype(int)
@@ -182,25 +167,12 @@ class AnnulusElement:
 
     framing: Framing
     z: complex = 1.0 + 0j
-    path: FieldPath | None = None
+    path: FieldPath | CompositeFieldPath | None = None
 
-    def generator_path(self) -> FieldPath:
+    def generator_path(self) -> FieldPath | CompositeFieldPath:
         if self.path is not None:
             return self.path
         return framing_path(self.framing)
-
-    def to_dict(self) -> dict:
-        doc = self.framing.to_dict()
-        doc["z"] = [float(self.z.real), float(self.z.imag)]
-        if self.path is not None:
-            doc["path"] = self.path.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AnnulusElement":
-        path = _path_from_dict(doc["path"]) if "path" in doc else None
-        return cls(framing=Framing.from_dict(doc),
-                   z=complex(doc["z"][0], doc["z"][1]), path=path)
 
 
 def standard_element(q: complex, G: int = DEFAULT_G,
@@ -340,17 +312,19 @@ def _smoothstep_inverse(s: float, width: float) -> float:
     return width + min(max(y, 0.0), 1.0) * (1.0 - 2.0 * width)
 
 
-class CompositeFieldPath(FieldPath):
+class CompositeFieldPath:
     """Concatenated generator path with smoothed sitting instants.
 
     The factor traversed first occupies path time [0, 1/2].  Each half runs
     its factor path through a cubic time change that is flat near the ends,
     so the composite field vanishes smoothly at the junction and the
     outer endpoints; reparametrization does not change the evolution
-    operator.
+    operator.  It answers the calls that read a ``FieldPath`` (knots,
+    maxmode, field_at, phase, max_inward_margin, reversed_adjoint).
     """
 
-    def __init__(self, first: FieldPath, second: FieldPath):
+    def __init__(self, first: FieldPath | CompositeFieldPath,
+                 second: FieldPath | CompositeFieldPath):
         self.first = first
         self.second = second
         knots = {0.0, 0.5, 1.0}
@@ -360,11 +334,7 @@ class CompositeFieldPath(FieldPath):
             for t in sub.knots:
                 x = _smoothstep_inverse(t, SITTING_WIDTH)
                 knots.add(half + x / 2.0)
-        self._knots_sorted = sorted(min(max(k, 0.0), 1.0) for k in knots)
-        # bypass FieldPath.__init__: interpolation is replaced wholesale
-        self.knots = self._knots_sorted
-        self.fields = []
-        self.interp = "composite"
+        self.knots = sorted(min(max(k, 0.0), 1.0) for k in knots)
 
     @property
     def maxmode(self) -> int:
@@ -391,28 +361,16 @@ class CompositeFieldPath(FieldPath):
         s, _ = _smoothstep(2.0 * t - 1.0, SITTING_WIDTH)
         return self.first.phase(1.0) + self.second.phase(float(s))
 
-    def max_inward_margin(self, grid: int = 512) -> float:
+    def max_inward_margin(self) -> float:
         # the cone is scale-invariant and 2 sigma' >= 0, so the factor
         # margins bound the composite's
-        return max(self.first.max_inward_margin(grid),
-                   self.second.max_inward_margin(grid), 0.0)
+        return max(self.first.max_inward_margin(),
+                   self.second.max_inward_margin(), 0.0)
 
     def reversed_adjoint(self) -> "CompositeFieldPath":
         # time reversal swaps the halves
         return CompositeFieldPath(self.second.reversed_adjoint(),
                                   self.first.reversed_adjoint())
-
-    def to_dict(self) -> dict:
-        return {"interp": "composite", "first": self.first.to_dict(),
-                "second": self.second.to_dict()}
-
-
-def _path_from_dict(doc: dict) -> FieldPath:
-    # composites are stored as their factors, rebuilt recursively
-    if doc.get("interp") == "composite":
-        return CompositeFieldPath(_path_from_dict(doc["first"]),
-                                  _path_from_dict(doc["second"]))
-    return FieldPath.from_dict(doc)
 
 
 def compose(E1: AnnulusElement, E2: AnnulusElement) -> AnnulusElement:

@@ -40,7 +40,7 @@ from .annulus import AnnulusElement, identity_element, standard_element
 from .errors import (ArgumentError, EvolutionError, GridError,
                      NonUnitaryError, NotInwardError, TruncationError)
 from .evolve import DEFAULT_ODE_TOL
-from .field import FieldPath, VectorField
+from .field import FieldPath
 from .rep import represent
 from .verify import SUITES, normalize_config, run_config
 from .virmod import (ModuleParams, build_module, check_unitarity,
@@ -120,7 +120,11 @@ def _resolve(flag, env_name: str, cast, fallback):
         return flag
     v = _env(env_name)
     if v is not None:
-        return cast(v)
+        try:
+            return cast(v)
+        except ValueError:
+            raise ArgumentError(f"VIRANN_{env_name}={v!r} is not a valid "
+                                f"{cast.__name__}") from None
     return fallback
 
 
@@ -177,9 +181,7 @@ def _element_from_doc(doc: dict):
     if kind == "standard":
         E = standard_element(complex(*doc["q"]))
         return AnnulusElement(E.framing, z=z, path=E.path), None
-    knots = [float(t) for t in doc["knots"]]
-    fields = [VectorField.from_dict(fd) for fd in doc["fields"]]
-    return FieldPath(knots, fields), z
+    return FieldPath.from_dict(doc), z
 
 
 def cmd_represent(args) -> int:
@@ -242,6 +244,8 @@ def cmd_verify(args) -> int:
             raise ArgumentError("config file must hold a JSON object")
     default = normalize_config({})
     file_module = cfg.get("module", {})
+    if not isinstance(file_module, dict):
+        raise ArgumentError("config key 'module' must hold a JSON object")
 
     c = _resolve(args.c, "C", float,
                  file_module.get("c", default["module"]["c"]))
@@ -254,8 +258,8 @@ def cmd_verify(args) -> int:
     fmt = _resolve(args.format, "FORMAT", str,
                    cfg.get("format", default["format"]))
     outdir = _resolve(args.out, "OUT", str, cfg.get("out", "."))
-    verbosity = int(_env("VERBOSITY")
-                    or cfg.get("verbosity", default["verbosity"]))
+    verbosity = _resolve(None, "VERBOSITY", int,
+                         cfg.get("verbosity", default["verbosity"]))
 
     if args.suite:
         suites = [s for spec in args.suite for s in spec.split(",")]
@@ -271,7 +275,7 @@ def cmd_verify(args) -> int:
             "verbosity": verbosity}
     _validate(full, "run_config")
 
-    workers = int(_env("WORKERS") or 0) or None
+    workers = _resolve(None, "WORKERS", int, 0) or None
     report = run_config(full, workers=workers)
     _validate(report, "report")
 

@@ -101,24 +101,6 @@ def adjoint_field(X: VectorField) -> VectorField:
 # algebra
 
 
-def witt_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y] with [e_m, e_n] = (m - n) e_{m+n} on basis fields.
-
-    Accumulated over unordered mode pairs as (m-n)(a_m b_n - a_n b_m), so
-    antisymmetry and [X, X] = 0 hold exactly in floating point, not just up
-    to rounding.
-    """
-    modes = sorted(set(X.coeffs) | set(Y.coeffs))
-    out: dict[int, complex] = {}
-    for i, m in enumerate(modes):
-        for n in modes[:i]:
-            cross = X.coeff(m) * Y.coeff(n) - X.coeff(n) * Y.coeff(m)
-            if cross != 0:
-                k = m + n
-                out[k] = out.get(k, 0j) + (m - n) * cross
-    return VectorField(out)
-
-
 def cocycle(X: VectorField, Y: VectorField, c: float) -> complex:
     """Central pairing (c/12) sum_m (m^3 - m) a_m b_{-m}.
 
@@ -266,16 +248,14 @@ def energy_bound_constant(c: float) -> float:
 
 
 class FieldPath:
-    """Time-sampled path of fields on [0, 1] with an interpolation rule.
+    """Time-sampled path of fields on [0, 1], linear between knots.
 
     Knots are finite and strictly increasing with t_0 = 0 and t_K = 1, and
-    every mode coefficient is finite.  ``linear`` interpolates coefficients
-    between knots; ``constant`` holds the field of the knot at or before t.
-    Subclasses may override ``field_at`` entirely (composite paths built
-    by annulus gluing do); they then override ``phase`` to match.
+    every mode coefficient is finite.  Mode coefficients are interpolated
+    linearly between knots and held at the ends.
     """
 
-    def __init__(self, knots, fields, interp: str = "linear"):
+    def __init__(self, knots, fields):
         knots = [float(t) for t in knots]
         fields = list(fields)
         if len(knots) != len(fields):
@@ -290,15 +270,12 @@ class FieldPath:
             raise ArgumentError("knots must start at 0 and end at 1")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise ArgumentError("knots must be strictly increasing")
-        if interp not in ("linear", "constant"):
-            raise ArgumentError(f"unknown interpolation rule {interp!r}")
         self.knots = knots
         self.fields = fields
-        self.interp = interp
 
     @classmethod
     def constant_path(cls, X: VectorField) -> "FieldPath":
-        return cls([0.0, 1.0], [X, X], interp="linear")
+        return cls([0.0, 1.0], [X, X])
 
     @property
     def maxmode(self) -> int:
@@ -307,9 +284,8 @@ class FieldPath:
     def phase(self, t: float) -> complex:
         """phi(t) = integral over [0, t] of the constant-mode coefficient a_0.
 
-        Exact: a_0 is piecewise linear (``linear``) or piecewise constant
-        (``constant``) between knots, so phi is piecewise quadratic or
-        piecewise linear.
+        Exact: a_0 is piecewise linear between knots, so phi is piecewise
+        quadratic.
         """
         t = min(max(float(t), 0.0), 1.0)
         a0 = [f.coeff(0) for f in self.fields]
@@ -318,11 +294,8 @@ class FieldPath:
             if t <= t0:
                 break
             dt = min(t, t1) - t0
-            if self.interp == "constant":
-                total += dt * a0[i]
-            else:
-                slope = (a0[i + 1] - a0[i]) / (t1 - t0)
-                total += dt * (a0[i] + 0.5 * slope * dt)
+            slope = (a0[i + 1] - a0[i]) / (t1 - t0)
+            total += dt * (a0[i] + 0.5 * slope * dt)
         return total
 
     def field_at(self, t: float) -> VectorField:
@@ -330,8 +303,6 @@ class FieldPath:
         i = bisect.bisect_right(self.knots, t) - 1
         if i >= len(self.knots) - 1:
             return self.fields[-1]
-        if self.interp == "constant":
-            return self.fields[i]
         t0, t1 = self.knots[i], self.knots[i + 1]
         lam = (t - t0) / (t1 - t0)
         return (1.0 - lam) * self.fields[i] + lam * self.fields[i + 1]
@@ -341,23 +312,16 @@ class FieldPath:
         ks = [1.0 - t for t in reversed(self.knots)]
         ks[0], ks[-1] = 0.0, 1.0
         fs = [adjoint_field(f) for f in reversed(self.fields)]
-        return FieldPath(ks, fs, self.interp)
+        return FieldPath(ks, fs)
 
-    def max_inward_margin(self, grid: int = DEFAULT_GRID) -> float:
-        return max(inward_margin(f, grid) for f in self.fields)
-
-    def to_dict(self) -> dict:
-        return {
-            "knots": list(self.knots),
-            "fields": [f.to_dict() for f in self.fields],
-            "interp": self.interp,
-        }
+    def max_inward_margin(self) -> float:
+        return max(inward_margin(f) for f in self.fields)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FieldPath":
+        """The path of a document's ``knots`` and ``fields`` lists."""
         return cls(doc["knots"],
-                   [VectorField.from_dict(f) for f in doc["fields"]],
-                   doc.get("interp", "linear"))
+                   [VectorField.from_dict(f) for f in doc["fields"]])
 
 
 # ---------------------------------------------------------------------------

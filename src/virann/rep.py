@@ -53,9 +53,9 @@ from typing import Callable
 
 import numpy as np
 
-from .annulus import (AnnulusElement, DEFAULT_MAXMODE, DEFAULT_TAIL_TOL,
-                      EXTRACT_INWARD_TOL, FramingHomotopy, compose, dagger,
-                      framing_path, homotopy_cocycle)
+from .annulus import (AnnulusElement, CompositeFieldPath, DEFAULT_MAXMODE,
+                      DEFAULT_TAIL_TOL, EXTRACT_INWARD_TOL, FramingHomotopy,
+                      compose, dagger, framing_path, homotopy_cocycle)
 from .errors import (ArgumentError, ModuleRangeError, NotInwardError,
                      TruncationError)
 from .evolve import (DEFAULT_ODE_TOL, EvolutionResult, GeneratorPath,
@@ -90,7 +90,7 @@ def _as_path(E, z=None) -> tuple[FieldPath, complex, "AnnulusElement | None"]:
         if z is not None:
             raise ArgumentError("the element already carries its scalar")
         return E.generator_path(), complex(E.z), E
-    if isinstance(E, FieldPath):
+    if isinstance(E, (FieldPath, CompositeFieldPath)):
         return E, complex(1.0 if z is None else z), None
     raise ArgumentError(f"cannot represent a {type(E).__name__}")
 

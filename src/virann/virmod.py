@@ -391,11 +391,11 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
 
     Per level: assemble the Shapovalov matrix (exactly when (c, h) are
     Fractions), quotient directions with relative eigenvalue below
-    ``nulltol``, and orthonormalize.  Raises NonUnitaryError on an eigenvalue
-    that is negative beyond tolerance.  ``lmax`` bounds which L_n matrices are
-    assembled (default: all |n| <= N).  Each L_n with n >= 1 is assembled
-    once as a real matrix and handed to the ``ModuleData`` constructor,
-    which derives the rest.
+    ``nulltol``, and orthonormalize.  Raises ArgumentError unless 0 < nulltol
+    < 1, and NonUnitaryError on an eigenvalue that is negative beyond
+    tolerance.  ``lmax`` bounds which L_n matrices are assembled (default:
+    all |n| <= N).  Each L_n with n >= 1 is assembled once as a real matrix
+    and handed to the ``ModuleData`` constructor, which derives the rest.
 
     Numerical note: the partition-monomial basis becomes severely
     ill-conditioned with level (normalized gram condition ~1e8 at level 12),
@@ -407,6 +407,8 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
     positive directions whose normalized eigenvalue sinks below the cut;
     pass a smaller nulltol to keep them.
     """
+    if not 0.0 < nulltol < 1.0:  # NaN fails every comparison
+        raise ArgumentError(f"nulltol must lie in (0, 1), got {nulltol!r}")
     N = params.N
     if lmax is None:
         lmax = N

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from virann.field import VectorField
 from virann.virmod import ModuleParams, build_module
 
 
@@ -54,3 +55,24 @@ def a0_integral():
                               limit=200)[0]
                          for part in (np.real, np.imag)))
     return integral
+
+
+@pytest.fixture(scope="session")
+def witt_bracket():
+    """(X, Y) -> [X, Y] with [e_m, e_n] = (m - n) e_{m+n} on basis fields.
+
+    Accumulated over unordered mode pairs as (m-n)(a_m b_n - a_n b_m), so
+    antisymmetry and [X, X] = 0 hold exactly in floating point, not just up
+    to rounding.
+    """
+    def bracket(X, Y):
+        modes = sorted(set(X.coeffs) | set(Y.coeffs))
+        out: dict[int, complex] = {}
+        for i, m in enumerate(modes):
+            for n in modes[:i]:
+                cross = X.coeff(m) * Y.coeff(n) - X.coeff(n) * Y.coeff(m)
+                if cross != 0:
+                    k = m + n
+                    out[k] = out.get(k, 0j) + (m - n) * cross
+        return VectorField(out)
+    return bracket

@@ -1,7 +1,5 @@
 """Framings, annulus elements, composition, dagger, homotopy cocycle, bigons."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +29,7 @@ from virann.annulus import (
 )
 from virann.errors import (ArgumentError, EvolutionError, GridError,
                            NotInwardError, TruncationError)
-from virann.field import FieldPath, VectorField, to_theta, witt_bracket
+from virann.field import FieldPath, VectorField, to_theta
 from virann.rep import represent
 from virann.verify import (BIGON_ARCS, _shallow_path, bigon_gap,
                            bigon_perturbation, wiggle_homotopy)
@@ -96,7 +94,7 @@ def validate_framing(f: Framing) -> dict:
     return report
 
 
-def witt_compatibility_residual(H: FramingHomotopy) -> float:
+def witt_compatibility_residual(H: FramingHomotopy, witt_bracket) -> float:
     """Max coefficient residual of dY/dt - dX/du = [X, Y] on the grid.
 
     X, Y are the generator fields (minus the raw ratios) in stored
@@ -167,34 +165,6 @@ class TestFraming:
         E = standard_element(0.5)
         assert np.allclose(np.abs(E.framing.out_curve()), 1.0)
         assert np.allclose(np.abs(E.framing.in_curve()), 0.5)
-
-    def test_serialization_round_trip(self):
-        E = standard_element(0.5 * np.exp(0.2j), G=32, K=4)
-        doc = E.to_dict()
-        back = AnnulusElement.from_dict(doc)
-        assert np.array_equal(back.framing.grid, E.framing.grid)
-        assert np.array_equal(back.framing.knots, E.framing.knots)
-        assert back.z == E.z
-        assert back.path is not None
-        assert back.path.field_at(0.3) == E.path.field_at(0.3)
-
-    def test_composite_round_trip_keeps_the_operator(self, mod8):
-        # the composite path is stored as its two factors, not as samples
-        q1, q2 = 0.7, 0.8 * np.exp(0.2j)
-        E = compose(standard_element(q1), standard_element(q2))
-        back = AnnulusElement.from_dict(json.loads(json.dumps(E.to_dict())))
-        assert isinstance(back.path, CompositeFieldPath)
-        w = mod8.weights()
-        U = represent(back, mod8).U
-        assert np.abs(U - np.diag(q1 ** w * q2 ** w)).max() < 1e-12
-        nested = compose(E, standard_element(0.9)).to_dict()
-        assert AnnulusElement.from_dict(nested).to_dict() == nested
-
-    def test_from_dict_rejects_wrong_width(self):
-        doc = standard_element(0.5, G=16, K=2).to_dict()
-        doc["G"] = 17
-        with pytest.raises(ArgumentError):
-            Framing.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +482,11 @@ class TestHomotopy:
         r2 = homotopy_cocycle(H, c=2.0)
         assert abs(r2 - 2.0 * r1) < 1e-12 * max(1.0, abs(r2))
 
-    def test_witt_compatibility_second_order(self):
+    def test_witt_compatibility_second_order(self, witt_bracket):
         fine = wiggle_homotopy(2, 0.05, 0.5, Kt=96, Ku=24, G=G)
-        res1 = witt_compatibility_residual(wiggle_homotopy(2, 0.05, 0.5, G=G))
-        res2 = witt_compatibility_residual(fine)
+        res1 = witt_compatibility_residual(wiggle_homotopy(2, 0.05, 0.5, G=G),
+                                           witt_bracket)
+        res2 = witt_compatibility_residual(fine, witt_bracket)
         assert res2 < res1 / 2.5
         assert res2 < 1e-3
 

@@ -1,5 +1,6 @@
 """The package's public names and what importing it costs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +35,35 @@ def test_all_names_public_objects_not_modules():
     for name in virann.__all__:
         obj = getattr(virann, name)
         assert not isinstance(obj, types.ModuleType), name
+
+
+def _names_read(path: Path) -> set[str]:
+    """Names a file loads, reads as attributes or imports, each outside the
+    body of a def or class of the same name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute):
+            found.update({node.attr} - inside)
+        elif isinstance(node, ast.alias):
+            found.update({node.name} - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return found
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name that only tests call belongs in the tests
+    pkg = Path(virann.__file__).resolve().parent
+    files = [p for p in pkg.glob("*.py") if p.name != "__init__.py"]
+    files += (pkg.parents[1] / "perfbench").rglob("*.py")
+    used = set().union(*map(_names_read, files))
+    unused = sorted(set(virann.__all__) - used)
+    assert not unused, f"public names with no caller outside the tests: {unused}"

@@ -108,6 +108,8 @@ class TestInteractionPicture:
              np.exp(0.3j * w)),
             (compose(standard_element(q2), standard_element(q1)),
              q2 ** w * q1 ** w),
+            (compose(standard_element(q2), standard_element(q1)).path,
+             q2 ** w * q1 ** w),
         ]
         for E, want in cases:
             R = represent(E, mod14)

@@ -71,6 +71,21 @@ class TestBuild:
         assert not out.exists()
         assert "positive semidefinite" in capsys.readouterr().err
 
+    def test_malformed_env_value_exit_one(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.setenv("VIRANN_N", "abc")
+        code = cli.main(["build", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "error: VIRANN_N='abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "2", "-1", "0"])
+    def test_nulltol_outside_zero_one_exit_one(self, tmp_path, capsys, tol):
+        out = tmp_path / "m.json"
+        code = cli.main(["build", "--N", "3", "--tol", tol, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "error: nulltol" in capsys.readouterr().err
+
     def test_output_validates_against_schema(self, module_file):
         import jsonschema
         jsonschema.validate(json.loads(module_file.read_text()),
@@ -698,6 +713,24 @@ class TestVerifyCommand:
         assert code == 0
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["config"]["module"]["N"] == 2
+
+    @pytest.mark.parametrize("name, value",
+                             [("WORKERS", "two"), ("VERBOSITY", "loud")])
+    def test_malformed_env_value_exit_one(self, tmp_path, monkeypatch, capsys,
+                                          name, value):
+        monkeypatch.setenv("VIRANN_" + name, value)
+        code = cli.main(["verify", "--N", "2", "--suite", "mobius",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: VIRANN_{name}='{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_config_module_not_an_object_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"module": 5}))
+        code = cli.main(["verify", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: config key 'module'" in capsys.readouterr().err
 
     def test_nonunitary_module_exit_two(self, tmp_path, capsys):
         code = cli.main(["verify", "--c", "0.3", "--h", "0.2", "--N", "4",

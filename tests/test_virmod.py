@@ -191,6 +191,12 @@ def test_dims_survive_tight_nulltol_at_n14(mod14):
     assert mod14.dims[-2:] == (101, 135)
 
 
+@pytest.mark.parametrize("nulltol", [np.nan, np.inf, 2.0, 1.0, 0.0, -1.0])
+def test_nulltol_outside_zero_one_rejected(nulltol):
+    with pytest.raises(ArgumentError, match="nulltol"):
+        build_module(ModuleParams(2.0, 0.5, 3), nulltol=nulltol)
+
+
 def test_nonunitary_point_raises():
     # level-2 gram has a negative eigenvalue at (c, h) = (0.5, 0.3)
     with pytest.raises(NonUnitaryError):
