@@ -7,15 +7,19 @@ Conventions used throughout the package:
 
 A module is built from the free (Verma) action on words L_{-p1}...L_{-pk} v,
 indexed by integer partitions, by quotienting null directions of the invariant
-inner product and orthonormalizing level by level.  Everything at or below a
-cutoff level N is kept; the matrices ``lmat(n)`` are the compressions of L_n
-to the truncation.  They are real in the orthonormal basis, so a module,
-built or loaded, stores each L_n with n >= 1 once, in float64; L_0 is the
-diagonal h + k, ``lmat(-n)`` is the transposed view of ``lmat(n)``, and
-every level block is a view into its L_n.  On vectors supported in levels
-<= N - |n| the compression acts exactly as the infinite-dimensional
-operator, which is what makes the truncated identities testable at tight
-tolerances.
+inner product and orthonormalizing level by level.  ``build_module`` makes one
+pass over the levels: level k's mode actions L_a (a = 1..k, to level k - a)
+come from ``VirasoroOracle.apply_mode``, its inner-product matrix from them
+and the lower levels' matrices by the bracket, and its blocks of every L_n
+from them and the lower levels' bases, so each level is built once.
+Everything at or below a cutoff level N is kept; the matrices ``lmat(n)``
+are the compressions of L_n to the truncation.  They are real in the
+orthonormal basis, so a module, built or loaded, stores each L_n with
+n >= 1 once, in float64; L_0 is the diagonal h + k, ``lmat(-n)`` is the
+transposed view of ``lmat(n)``, and every level block is a view into its
+L_n.  On vectors supported in levels <= N - |n| the compression acts exactly
+as the infinite-dimensional operator, which is what makes the truncated
+identities testable at tight tolerances.
 
 Scalars may be ``fractions.Fraction`` (exact arithmetic, used by the oracle
 tests) or floats; the reduction code is generic over both.
@@ -24,6 +28,7 @@ tests) or floats; the reduction code is generic over both.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,6 +186,12 @@ def _acc(d: dict, key, val) -> None:
     d[key] = val if cur is None else cur + val
 
 
+def _is_exact(params: ModuleParams) -> bool:
+    """Whether c and h are both Fractions, so that the Shapovalov matrices
+    are exact rationals."""
+    return isinstance(params.c, Fraction) and isinstance(params.h, Fraction)
+
+
 def gram_matrix(params: "ModuleParams", level: int) -> np.ndarray:
     """Shapovalov matrix at one level, in the partition basis.
 
@@ -189,9 +200,10 @@ def gram_matrix(params: "ModuleParams", level: int) -> np.ndarray:
     """
     if level > params.N:
         raise ArgumentError(f"level {level} exceeds cutoff N = {params.N}")
-    c, h = params.c, params.h
-    rows = VirasoroOracle(c, h).gram(level)
-    exact = isinstance(c, Fraction) or isinstance(h, Fraction)
+    exact = _is_exact(params)
+    oracle = (VirasoroOracle(params.c, params.h) if exact
+              else VirasoroOracle(*params.as_floats()))
+    rows = oracle.gram(level)
     if exact:
         arr = np.empty((len(rows), len(rows)), dtype=object)
         for i, row in enumerate(rows):
@@ -389,23 +401,29 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
                  lmax: int | None = None) -> ModuleData:
     """Construct the truncated module at ``params``.
 
-    Per level: assemble the Shapovalov matrix (exactly when (c, h) are
-    Fractions), quotient directions with relative eigenvalue below
-    ``nulltol``, and orthonormalize.  Raises ArgumentError unless 0 < nulltol
-    < 1, and NonUnitaryError on an eigenvalue that is negative beyond
-    tolerance.  ``lmax`` bounds which L_n matrices are assembled (default:
-    all |n| <= N).  Each L_n with n >= 1 is assembled once as a real matrix
-    and handed to the ``ModuleData`` constructor, which derives the rest.
+    One pass over the levels k = 0..N, each built once from the levels
+    below it (``_levels``): take the Shapovalov matrix G_k (exactly when c
+    and h are both Fractions), quotient directions with relative eigenvalue
+    below ``nulltol``, orthonormalize to a basis B_k, keep G_k B_k, and cut
+    the level blocks (G_{k-n} B_{k-n})^T (C_n B_k) of L_1..L_lmax that map
+    level k down.  Raises ArgumentError unless 0 < nulltol < 1,
+    ModuleRangeError before any level work when the dense L_n would not fit
+    in physical memory, and NonUnitaryError on an eigenvalue that is
+    negative beyond tolerance.  ``lmax`` bounds which L_n matrices are
+    assembled (default: all |n| <= N).  Each L_n with n >= 1 is written
+    once as a real matrix from its blocks and handed to the ``ModuleData``
+    constructor, which derives the rest.
 
     Numerical note: the partition-monomial basis becomes severely
     ill-conditioned with level (normalized gram condition ~1e8 at level 12),
     and the contraction B^T G C B mixes entries spread over ~17 orders of
     magnitude.  Orthonormalization is therefore Newton-refined and the
-    cancellation-heavy product G @ B evaluated in 80-bit arithmetic, keeping
-    commutator residuals of the assembled matrices near float64 roundoff.
-    At default nulltol, levels >= 13 may still quotient a few genuinely
-    positive directions whose normalized eigenvalue sinks below the cut;
-    pass a smaller nulltol to keep them.
+    cancellation-heavy products G B and C B evaluated in 80-bit arithmetic
+    (C B as a sum over the nonzeros of C in column order, term for term the
+    dense product), keeping commutator residuals of the assembled matrices
+    near float64 roundoff.  At default nulltol, levels >= 13 may still
+    quotient a few genuinely positive directions whose normalized eigenvalue
+    sinks below the cut; pass a smaller nulltol to keep them.
     """
     if not 0.0 < nulltol < 1.0:  # NaN fails every comparison
         raise ArgumentError(f"nulltol must lie in (0, 1), got {nulltol!r}")
@@ -413,27 +431,24 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
     if lmax is None:
         lmax = N
     lmax = max(0, min(lmax, N))
+    _check_fits(N, lmax)
 
-    exact = isinstance(params.c, Fraction) and isinstance(params.h, Fraction)
-    if exact:
+    if _is_exact(params):
         oracle = VirasoroOracle(params.c, params.h)
+        to_ld = _longdouble_array
     else:
         oracle = VirasoroOracle(_to_longdouble(params.c), _to_longdouble(params.h))
-    basis = enumerate_basis(N)
+        to_ld = np.asarray
 
-    ortho_ld: list[np.ndarray] = []
-    gram_ld: list[np.ndarray] = []
+    gbs: list[np.ndarray] = []  # G_k B_k, the left factor of every block
     dims: list[int] = []
+    blocks = {}  # (n, k) -> the block of L_n from level k to level k - n
     eye_cache = {}
-    for k in range(N + 1):
-        g_ld = np.array(
-            [[_to_longdouble(x) for x in row] for row in oracle.gram(k)],
-            dtype=np.longdouble,
-        )
-        gram_ld.append(g_ld)
+    for k, (g, modes) in enumerate(_levels(oracle, N)):
+        g_ld = to_ld(g)
         scaled, (keep, scale) = _scale_unit_diagonal(g_ld.astype(float))
         if scaled.size == 0:
-            ortho_ld.append(np.zeros((len(basis[k]), 0), dtype=np.longdouble))
+            gbs.append(np.zeros((len(g), 0), dtype=np.longdouble))
             dims.append(0)
             continue
         w, v = np.linalg.eigh(scaled)
@@ -445,40 +460,133 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
             )
         retained = np.flatnonzero(w > nulltol * wmax)
         b_small = (v[:, retained] / np.sqrt(w[retained])) * scale[:, None]
-        b = np.zeros((len(basis[k]), b_small.shape[1]), dtype=np.longdouble)
+        b = np.zeros((len(g), b_small.shape[1]), dtype=np.longdouble)
         b[keep] = b_small
         # Newton refinement of G-orthonormality in 80-bit:
         #   B <- B (3I - B^T G B) / 2
         d = b.shape[1]
         ident = eye_cache.setdefault(d, np.eye(d, dtype=np.longdouble))
         for _ in range(4):
-            e = b.T @ (g_ld @ b) - ident
+            gb = g_ld @ b
+            e = b.T @ gb - ident
             if float(np.abs(e).max()) < 1e-17:
                 break
             b = b @ (ident - 0.5 * e)
-        ortho_ld.append(b)
+        else:
+            gb = g_ld @ b
+        gbs.append(gb)
         dims.append(d)
+        for n in range(1, min(k, lmax) + 1):
+            if dims[k - n] == 0:
+                continue
+            dst, src, coeff = modes[n]
+            # (G B)^T (C B): G B is where 17 orders of magnitude cancel
+            cb = _gather(dst, src, to_ld(coeff), b, len(gbs[k - n]),
+                         np.longdouble(0))
+            blocks[n, k] = (gbs[k - n].T @ cb).astype(float)
 
     offsets = _level_offsets(dims)
     dim = int(offsets[-1])
-    lmats = []
-    for n in range(1, lmax + 1):
-        mat = np.zeros((dim, dim))
-        for k in range(n, N + 1):
-            if dims[k] == 0 or dims[k - n] == 0:
-                continue
-            src, dst = basis[k], basis[k - n]
-            dst_index = {lam: i for i, lam in enumerate(dst)}
-            cmat = np.zeros((len(dst), len(src)), dtype=np.longdouble)
-            for j, lam in enumerate(src):
-                for mu, coeff in oracle.apply_mode(n, lam).items():
-                    cmat[dst_index[mu], j] = _to_longdouble(coeff)
-            # (G B)^T (C B): G @ B is where 17 orders of magnitude cancel
-            gb = gram_ld[k - n] @ ortho_ld[k - n]
-            block = (gb.T @ (cmat @ ortho_ld[k])).astype(float)
-            mat[offsets[k - n]:offsets[k - n + 1], offsets[k]:offsets[k + 1]] = block
-        lmats.append(mat)
+    lmats = [np.zeros((dim, dim)) for _ in range(lmax)]
+    for (n, k), block in blocks.items():
+        lmats[n - 1][offsets[k - n]:offsets[k - n + 1],
+                     offsets[k]:offsets[k + 1]] = block
     return ModuleData(params, dims, lmats)
+
+
+def _levels(oracle: VirasoroOracle, N: int):
+    """Yield (G_k, modes) for the levels k = 0..N of the Verma module.
+
+    G_k is the Shapovalov matrix of level k in the partition basis, in the
+    oracle's arithmetic (dtype object for Fractions).  ``modes`` maps
+    a = 1..k to the action of L_a from level k to level k - a as the
+    nonzero triplets (dst, src, coeff) of ``apply_mode``, source by source
+    in basis order, each source's terms in apply_mode's order.
+
+    G_k is the matrix form of ``VirasoroOracle.pairing``: its row
+    lam = (a, rest) is <L_{-rest} v, L_a L_{-mu} v>, row ``rest`` of
+    G_{k-a} C_a, each entry summed from zero over the terms of
+    apply_mode(a, mu) in their order, and its lower triangle mirrors the
+    upper.  That is the pairing's recursion term for term, so G_k equals
+    ``VirasoroOracle.gram(k)`` bit for bit in every arithmetic.
+    """
+    zero = oracle._zero
+    dtype = np.asarray(zero).dtype
+    basis = enumerate_basis(N)
+    index = [{lam: i for i, lam in enumerate(level)} for level in basis]
+    grams: list[np.ndarray] = []
+    for k, level in enumerate(basis):
+        modes = {}
+        for a in range(1, k + 1):
+            dst_index = index[k - a]
+            dst, src, coeff = [], [], []
+            for j, mu in enumerate(level):
+                for nu, x in oracle.apply_mode(a, mu).items():
+                    dst.append(dst_index[nu])
+                    src.append(j)
+                    coeff.append(x)
+            modes[a] = (np.array(dst, dtype=int), np.array(src, dtype=int),
+                        np.array(coeff, dtype=dtype))
+        g = np.full((len(level), len(level)), zero, dtype=dtype)
+        if k == 0:
+            g[0, 0] = oracle._one()
+        for a, (dst, src, coeff) in modes.items():
+            rows = [i for i, lam in enumerate(level) if lam[0] == a]
+            rest = [index[k - a][level[i][1:]] for i in rows]
+            # the columns mu >= rows[0] of G_{k-a}[rest] C_a, which hold
+            # the upper triangle of these rows; G_{k-a} is symmetric
+            top = src >= rows[0]
+            g[rows, rows[0]:] = _gather(
+                src[top] - rows[0], dst[top], coeff[top],
+                grams[k - a][:, rest], len(level) - rows[0], zero).T
+        lower = np.tril_indices(len(level), -1)
+        g[lower] = g.T[lower]
+        grams.append(g)
+        yield g, modes
+
+
+def _gather(keys: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+            x: np.ndarray, nkeys: int, zero) -> np.ndarray:
+    """out[r] = sum of vals[e] * x[cols[e]] over the entries e with
+    keys[e] == r, added to ``zero`` one by one in the entries' order."""
+    order = np.argsort(keys, kind="stable")
+    keys, cols, vals = keys[order], cols[order], vals[order]
+    slot = np.arange(len(keys)) - np.searchsorted(keys, keys)
+    out = np.full((nkeys, x.shape[1]), zero, dtype=x.dtype)
+    for t in range(slot.max(initial=-1) + 1):
+        e = slot == t  # each key's t-th entry
+        out[keys[e]] += vals[e][:, None] * x[cols[e]]
+    return out
+
+
+def _longdouble_array(a: np.ndarray) -> np.ndarray:
+    return np.array([_to_longdouble(x) for x in a.flat],
+                    dtype=np.longdouble).reshape(a.shape)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_fits(N: int, lmax: int) -> None:
+    """Raise ModuleRangeError when the dense L_1..L_lmax of a module at
+    cutoff N, sized before the null quotient, exceed physical memory."""
+    counts = [1] + [0] * N  # p(0..N), counted without listing partitions
+    for part in range(1, N + 1):
+        for k in range(part, N + 1):
+            counts[k] += counts[k - part]
+    need = lmax * sum(counts) ** 2 * 8
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ModuleRangeError(
+            f"a module at N = {N} with lmax = {lmax} needs {need / 1e9:.1f} GB "
+            f"for its dense L_n, more than the {have / 1e9:.1f} GB of "
+            f"physical memory"
+        )
 
 
 def _level_offsets(dims) -> np.ndarray:
@@ -593,7 +701,8 @@ def _check_graded(h: float, dims: tuple[int, ...], mats: dict) -> None:
 
 
 def _complex_matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    m = np.asarray(m)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def _complex_matrix_from_json(rows: list) -> np.ndarray:

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from virann import _blas, cli, verify
+from virann import _blas, cli, verify, virmod
 from virann.errors import ModuleRangeError, TruncationError
 from virann.virmod import ModuleParams, build_module, module_to_dict
 
@@ -85,6 +85,15 @@ class TestBuild:
         assert code == 1
         assert not out.exists()
         assert "error: nulltol" in capsys.readouterr().err
+
+    def test_module_beyond_physical_memory_exit_two(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # N=8 needs 8 * 67^2 * 8 bytes of dense L_n; claim 100 KB of memory
+        monkeypatch.setattr(virmod, "_physical_memory", lambda: 100_000)
+        out = tmp_path / "m.json"
+        assert cli.main(["build", "--N", "8", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "physical memory" in capsys.readouterr().err
 
     def test_output_validates_against_schema(self, module_file):
         import jsonschema

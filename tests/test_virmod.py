@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virann.errors import ArgumentError, NonUnitaryError, TruncationError
+from virann import virmod
+from virann.errors import (ArgumentError, ModuleRangeError, NonUnitaryError,
+                           TruncationError)
 from virann.verify import bracket_residual
 from virann.virmod import (
     ModuleParams,
     VirasoroOracle,
+    _levels,
     build_module,
     check_unitarity,
     enumerate_basis,
@@ -158,6 +161,45 @@ def test_ising_level_two_determinant_vanishes_exactly():
     assert det == 0
 
 
+def test_gram_matrix_of_mixed_params_is_float():
+    # exact only when c and h are both Fractions, as in build_module
+    for c, h in [(F(1, 2), 0.0625), (0.5, F(1, 16))]:
+        g = gram_matrix(ModuleParams(c, h, 2), 2)
+        assert g.dtype == np.float64
+        assert np.array_equal(g, gram_matrix(ModuleParams(0.5, 0.0625, 2), 2))
+
+
+@pytest.mark.parametrize("c, h", [(F(2), F(1, 2)), (F(1, 2), F(1, 16))])
+def test_level_grams_equal_the_exact_oracle(c, h):
+    """The build's matrix recursion against the oracle's dict recursion."""
+    grams = [g for g, _ in _levels(VirasoroOracle(c, h), 8)]
+    for k, g in enumerate(grams):
+        assert g.dtype == object
+        assert g.tolist() == gram_matrix(ModuleParams(c, h, 8), k).tolist()
+
+
+def test_level_grams_equal_the_float_oracle():
+    grams = [g for g, _ in _levels(_build_oracle(2.0, 0.5), 10)]
+    for k, g in enumerate(grams):
+        assert g.dtype == np.longdouble
+        assert np.array_equal(g.astype(float),
+                              gram_matrix(ModuleParams(2.0, 0.5, 10), k))
+
+
+def test_level_grams_sum_as_the_pairing_recursion():
+    # in 80-bit at a point whose entries round: the same terms in the same
+    # order as VirasoroOracle.pairing, so the same bits
+    oracle = _build_oracle(0.7, 0.0375)
+    for k, (g, _) in enumerate(_levels(oracle, 10)):
+        want = np.array(oracle.gram(k), dtype=np.longdouble)
+        assert np.array_equal(g, want)
+
+
+def _build_oracle(c, h):
+    """The oracle build_module uses at float parameters."""
+    return VirasoroOracle(np.longdouble(c), np.longdouble(h))
+
+
 # ---------------------------------------------------------------------------
 # module construction
 
@@ -189,6 +231,26 @@ def test_full_verma_dims_at_n12(mod12):
 
 def test_dims_survive_tight_nulltol_at_n14(mod14):
     assert mod14.dims[-2:] == (101, 135)
+
+
+@pytest.mark.parametrize("c, h, dims", [
+    (0.5, 1 / 16, (1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 22)),
+    (0.7, 3 / 80, (1, 1, 2, 3, 4, 6, 8, 11, 15, 20, 26, 34, 44, 56, 71)),
+    (1.0, 0.25, (1, 1, 1, 2, 3, 4, 6, 8, 11, 15, 20, 26, 35, 45, 58)),
+])
+def test_null_heavy_dims_at_n14(c, h, dims):
+    """The dims of the null-heavy points of perfbench's build-sweep."""
+    assert build_module(ModuleParams(c, h, 14)).dims == dims
+
+
+def test_module_beyond_physical_memory_refused(monkeypatch):
+    # N=8 needs 8 * 67^2 * 8 = 287,296 bytes of dense L_n before the quotient
+    monkeypatch.setattr(virmod, "_physical_memory", lambda: 287_295)
+    with pytest.raises(ModuleRangeError, match="physical memory"):
+        build_module(ModuleParams(2.0, 0.5, 8))
+    assert build_module(ModuleParams(2.0, 0.5, 8), lmax=7).lmax == 7
+    monkeypatch.setattr(virmod, "_physical_memory", lambda: None)
+    assert build_module(ModuleParams(2.0, 0.5, 8)).lmax == 8
 
 
 @pytest.mark.parametrize("nulltol", [np.nan, np.inf, 2.0, 1.0, 0.0, -1.0])
@@ -283,8 +345,18 @@ def test_bracket_on_protected_columns(mod12):
 def test_matrix_elements_match_exact_oracle():
     """The float matrices vs exact rational pairings of the cyclic vectors
     L_{-lam} e_0, which do not depend on the module's basis."""
-    mod = build_module(ModuleParams(F(2), F(1, 2), 6))
-    oracle = VirasoroOracle(F(2), F(1, 2))
+    _check_matrix_elements(F(2), F(1, 2), 6)
+
+
+def test_matrix_elements_match_exact_oracle_across_the_quotient():
+    # the Ising point loses states from level 2; the pairings of the cyclic
+    # vectors, null ones included, still descend to the quotient
+    _check_matrix_elements(F(1, 2), F(1, 16), 8)
+
+
+def _check_matrix_elements(c, h, N):
+    mod = build_module(ModuleParams(c, h, N))
+    oracle = VirasoroOracle(c, h)
     e0 = np.zeros(mod.dim)
     e0[0] = 1.0
 
@@ -382,6 +454,17 @@ def test_serialization_deterministic():
     a = module_to_dict(build_module(ModuleParams(2.0, 0.5, 4)))
     b = module_to_dict(build_module(ModuleParams(2.0, 0.5, 4)))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_module_to_dict_matches_the_per_entry_writer(mod8):
+    def per_entry(m):  # the entry-by-entry writer, kept as the reference
+        return [[[float(z.real), float(z.imag)] for z in row]
+                for row in np.asarray(m)]
+
+    doc = module_to_dict(mod8)
+    ref = dict(doc, lmat={str(n): per_entry(m)
+                          for n, m in sorted(mod8.lmat_by_n.items())})
+    assert json.dumps(doc) == json.dumps(ref)
 
 
 def _module_doc_with(doc, n, edit):
