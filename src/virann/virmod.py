@@ -417,13 +417,24 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
     Numerical note: the partition-monomial basis becomes severely
     ill-conditioned with level (normalized gram condition ~1e8 at level 12),
     and the contraction B^T G C B mixes entries spread over ~17 orders of
-    magnitude.  Orthonormalization is therefore Newton-refined and the
-    cancellation-heavy products G B and C B evaluated in 80-bit arithmetic
-    (C B as a sum over the nonzeros of C in column order, term for term the
-    dense product), keeping commutator residuals of the assembled matrices
-    near float64 roundoff.  At default nulltol, levels >= 13 may still
-    quotient a few genuinely positive directions whose normalized eigenvalue
-    sinks below the cut; pass a smaller nulltol to keep them.
+    magnitude.  The cancellation-heavy products G B and C B are therefore
+    evaluated in 80-bit arithmetic (C B as a sum over the nonzeros of C in
+    column order, term for term the dense product), and the float64
+    eigenbasis is refined to G-orthonormality there by Newton-Schulz
+    updates (``_refine``).  Each update roughly squares the error
+    max|B^T G B - I| until it meets the rounding floor of the 80-bit
+    product, which rises with the conditioning of G_k: at c=2, h=1/2 it is
+    about 1e-19 at the lowest levels, 1e-16 at level 8 and 1e-13 to 5e-13
+    at levels 12-16, where the float64 eigenbasis starts at 2e-10 to 4e-9;
+    one update reaches it.  The loop updates again only while the error is
+    at least 1e-17 and fell tenfold since its last measurement, at most 4
+    times, and keeps the measured iterate with the smallest error.  Where
+    G and B are plain float64 the first update already meets the floor and
+    the loop stops after one or two.  This keeps commutator residuals of the
+    assembled matrices near float64 roundoff.  At default nulltol, levels
+    >= 13 may still quotient a few genuinely positive directions whose
+    normalized eigenvalue sinks below the cut; pass a smaller nulltol to
+    keep them.
     """
     if not 0.0 < nulltol < 1.0:  # NaN fails every comparison
         raise ArgumentError(f"nulltol must lie in (0, 1), got {nulltol!r}")
@@ -443,7 +454,6 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
     gbs: list[np.ndarray] = []  # G_k B_k, the left factor of every block
     dims: list[int] = []
     blocks = {}  # (n, k) -> the block of L_n from level k to level k - n
-    eye_cache = {}
     for k, (g, modes) in enumerate(_levels(oracle, N)):
         g_ld = to_ld(g)
         scaled, (keep, scale) = _scale_unit_diagonal(g_ld.astype(float))
@@ -462,20 +472,8 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
         b_small = (v[:, retained] / np.sqrt(w[retained])) * scale[:, None]
         b = np.zeros((len(g), b_small.shape[1]), dtype=np.longdouble)
         b[keep] = b_small
-        # Newton refinement of G-orthonormality in 80-bit:
-        #   B <- B (3I - B^T G B) / 2
-        # np.dot sums each entry from zero in index order, as @ does, and
-        # its 80-bit loop is about 2.4 times faster
+        b, gb, _ = _refine(g_ld, b)
         d = b.shape[1]
-        ident = eye_cache.setdefault(d, np.eye(d, dtype=np.longdouble))
-        for _ in range(4):
-            gb = np.dot(g_ld, b)
-            e = np.dot(b.T, gb) - ident
-            if float(np.abs(e).max()) < 1e-17:
-                break
-            b = np.dot(b, ident - 0.5 * e)
-        else:
-            gb = np.dot(g_ld, b)
         gbs.append(gb)
         dims.append(d)
         for n in range(1, min(k, lmax) + 1):
@@ -485,7 +483,7 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
             # (G B)^T (C B): G B is where 17 orders of magnitude cancel
             cb = _gather(dst, src, to_ld(coeff), b, len(gbs[k - n]),
                          np.longdouble(0))
-            blocks[n, k] = np.dot(gbs[k - n].T, cb).astype(float)
+            blocks[n, k] = _dot(gbs[k - n].T, cb).astype(float)
 
     offsets = _level_offsets(dims)
     dim = int(offsets[-1])
@@ -494,6 +492,43 @@ def build_module(params: ModuleParams, nulltol: float = DEFAULT_NULLTOL,
         lmats[n - 1][offsets[k - n]:offsets[k - n + 1],
                      offsets[k]:offsets[k + 1]] = block
     return ModuleData(params, dims, lmats)
+
+
+def _refine(g: np.ndarray, b: np.ndarray):
+    """Newton-Schulz refinement of G-orthonormality, B <- B (3I - B^T G B)/2.
+
+    Every iterate, the first included, is measured by err = max|B^T G B - I|.
+    The loop updates again only while err >= 1e-17 and err fell at least
+    tenfold since the previous measurement (the first measurement needs
+    only the floor), at most 4 times.  The error roughly squares with each
+    update until it meets the rounding floor of the arithmetic, after which
+    updates only stir the rounding.  Returns (B, G B, errors): the measured
+    iterate with the smallest err, its G B and every measured err in order.
+    """
+    ident = np.eye(b.shape[1], dtype=b.dtype)
+    errs: list[float] = []
+    while True:
+        gb = _dot(g, b)
+        e = _dot(b.T, gb) - ident
+        err = float(np.abs(e).max())
+        if not errs or err < best[2]:
+            best = (b, gb, err)
+        stalled = bool(errs) and err > errs[-1] / 10
+        errs.append(err)
+        if err < 1e-17 or stalled or len(errs) > 4:  # 4 updates made
+            return best[0], best[1], errs
+        b = _dot(b, ident - 0.5 * e)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a, b)`` with both inner-product operands at unit stride.
+
+    For long double, which has no BLAS, np.dot sums each entry from zero in
+    index order along a row of ``a`` and a column of ``b``; a row-contiguous
+    ``a`` and a column-contiguous ``b`` keep both walks unit-stride, with the
+    same terms in the same order, so the result is bit for bit np.dot's.
+    """
+    return np.dot(np.ascontiguousarray(a), np.asfortranarray(b))
 
 
 def _levels(oracle: VirasoroOracle, N: int):

@@ -253,6 +253,59 @@ def test_module_beyond_physical_memory_refused(monkeypatch):
     assert build_module(ModuleParams(2.0, 0.5, 8)).lmax == 8
 
 
+def _eigenbasis(g):
+    """build_module's float64 starting basis at a level without nulls."""
+    scaled, (keep, scale) = virmod._scale_unit_diagonal(g.astype(float))
+    assert len(keep) == len(g)
+    w, v = np.linalg.eigh(scaled)
+    return (v / np.sqrt(w)) * scale[:, None]
+
+
+def _orthonormality_error(g, b):
+    e = virmod._dot(b.T, virmod._dot(g, b)) - np.eye(b.shape[1],
+                                                      dtype=b.dtype)
+    return float(np.abs(e).max())
+
+
+def test_refinement_returns_its_best_measured_iterate(monkeypatch):
+    calls = []
+
+    def spy(g, b):
+        out = refine(g, b)
+        calls.append((g, out))
+        return out
+
+    refine = virmod._refine
+    monkeypatch.setattr(virmod, "_refine", spy)
+    build_module(ModuleParams(2.0, 0.5, 14))
+    assert len(calls) == 15
+    for g, (b, gb, errs) in calls:
+        assert 1 <= len(errs) <= 5  # at most 4 updates
+        for before, after in zip(errs, errs[1:-1]):
+            assert before >= 1e-17 and after <= before / 10
+        assert np.array_equal(gb, np.dot(g, b))
+        assert _orthonormality_error(g, b) == min(errs)
+
+
+def test_refinement_stops_on_float64_inputs():
+    # float64 has no digits beyond the starting basis: the first update
+    # already meets the rounding floor, and the loop must not run to its cap
+    g = gram_matrix(ModuleParams(2.0, 0.5, 12), 12)
+    b, gb, errs = virmod._refine(g, _eigenbasis(g))
+    assert b.dtype == np.float64
+    assert len(errs) <= 3
+    assert _orthonormality_error(g, b) == min(errs)
+
+
+def test_unit_stride_product_is_np_dot_bit_for_bit():
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((37, 29)).astype(np.longdouble) / 3
+    b = rng.standard_normal((29, 31)).astype(np.longdouble) / 7
+    c = rng.standard_normal((37, 31)).astype(np.longdouble) / 5
+    for x, y in ((a, b), (a.T, c), (c.T, a), (b.T, a.T), (a[::2], b[:, 1::3])):
+        assert np.array_equal(virmod._dot(x, y), np.dot(x, y))
+
+
 @pytest.mark.parametrize("nulltol", [np.nan, np.inf, 2.0, 1.0, 0.0, -1.0])
 def test_nulltol_outside_zero_one_rejected(nulltol):
     with pytest.raises(ArgumentError, match="nulltol"):
