@@ -269,13 +269,13 @@ def _orthonormality_error(g, b):
 
 def test_refinement_returns_its_best_measured_iterate(monkeypatch):
     calls = []
+    refine = virmod._refine
 
     def spy(g, b):
         out = refine(g, b)
         calls.append((g, out))
         return out
 
-    refine = virmod._refine
     monkeypatch.setattr(virmod, "_refine", spy)
     build_module(ModuleParams(2.0, 0.5, 14))
     assert len(calls) == 15
